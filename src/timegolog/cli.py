@@ -31,7 +31,7 @@ from .parsing import (
     ta_constants,
 )
 from .sexpr import ParseError
-from .temporal import format_fraction, scale_lcm
+from .temporal import ResourceError, format_fraction, scale_lcm
 from .timed_automata import ta_to_dot, ta_to_json
 
 
@@ -189,8 +189,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    plan_obj = _read_json(args.plan)
-    plan = plantrans.Plan(tuple(plan_obj["actions"]))
+    plan = plantrans.plan_from_json(_read_json(args.plan))
     platform_obj = _read_json(args.platform)
     constraints = plantrans.constraints_from_json(_read_json(args.constraints))
     scale = scale_lcm(list(ta_constants(platform_obj)) or [Fraction(1)])
@@ -300,10 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ParseError, ValueError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except synthesis.ResourceError as err:
+    except (InputError, ParseError, ValueError, OSError, ResourceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -147,22 +147,43 @@ def rel_clock(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
+def _share_rel_clocks(rel: tuple) -> dict:
+    """Clock of each relative window start.  Windows starting at position i
+    share one clock, live from i to the last j they read it at; a clock is
+    free again at a start no earlier than the end of its previous lifetime,
+    since switch i evaluates its guard before its resets.  Greedy interval
+    colouring in order of starts uses as many clocks as the largest number
+    of lifetimes overlapping at once; each clock is named after the first
+    window it serves."""
+    span: dict = {}  # start -> (first j, last j) of its windows
+    for c in rel:
+        first, last = span.get(c.i, (c.j, c.j))
+        span[c.i] = (min(first, c.j), max(last, c.j))
+    clock_of: dict = {}
+    busy_until: dict = {}  # clock -> end of its current lifetime
+    for i, (first, last) in sorted(span.items()):
+        free = [x for x, end in busy_until.items() if end <= i]
+        clock_of[i] = free[0] if free else rel_clock(i, first)
+        busy_until[clock_of[i]] = last
+    return clock_of
+
+
 def encode_plan(plan: Plan, constraints: ConstraintSet) -> TimedAutomaton:
     """One location per plan position; switch i fires action i, guarded by
     the absolute window and the relative windows ending at i, and resets the
-    relative clocks starting at i.  Only clocks some constraint mentions are
-    declared; the accepted words are exactly the correctly ordered, fully
-    timed plans meeting every absolute and relative constraint."""
+    clock of the relative windows starting at i.  Relative windows share
+    clocks wherever their lifetimes allow (`_share_rel_clocks`), and only
+    clocks some constraint mentions are declared, each once; the accepted
+    words are exactly the correctly ordered, fully timed plans meeting every
+    absolute and relative constraint."""
     constraints.check_indices(plan)
     n = len(plan)
     abs_by_i: dict = {}
     for c in constraints.abs:
         abs_by_i.setdefault(c.i, []).append(c.interval)
-    rel_pairs = {(c.i, c.j) for c in constraints.rel}
-    clocks = []
-    if abs_by_i:
-        clocks.append("x_abs")
-    clocks += [rel_clock(i, j) for i, j in sorted(rel_pairs)]
+    clock_of = _share_rel_clocks(constraints.rel)
+    clocks = ["x_abs"] if abs_by_i else []
+    clocks += list(dict.fromkeys(clock_of.values()))
     switches = []
     for i in range(1, n + 1):
         atoms = []
@@ -170,8 +191,8 @@ def encode_plan(plan: Plan, constraints: ConstraintSet) -> TimedAutomaton:
             atoms += _interval_atoms("x_abs", interval)
         for c in constraints.rel:
             if c.j == i:
-                atoms += _interval_atoms(rel_clock(c.i, c.j), c.interval)
-        resets = frozenset(rel_clock(i, j) for (k, j) in rel_pairs if k == i)
+                atoms += _interval_atoms(clock_of[c.i], c.interval)
+        resets = frozenset({clock_of[i]} if i in clock_of else ())
         switches.append(
             Switch(f"l{i - 1}", plan.action(i), ClockConstraint(tuple(atoms)), resets, f"l{i}")
         )
@@ -389,53 +410,57 @@ def trace_word(plan: Plan, platform: TimedAutomaton, trace: tuple) -> Optional[T
     for sw in platform.switches:
         platform_by_label.setdefault(str(sw.label), []).append(sw)
 
-    # depth-first replay over the (finitely many) nondeterministic platform runs
-    def replay(k, loc, valuation, now, plan_pos, entries):
-        if k == len(trace):
-            if plan_pos != len(plan_actions):
-                return None
-            if platform.finals and loc not in platform.finals:
-                return None
-            return entries
+    def moves(k, loc, valuation, now, plan_pos):
+        """Ways to replay trace[k] from a replay state: the word entry it
+        adds and the successor state (loc, valuation, now, plan_pos)."""
         action, t = trace[k]
         t = Fraction(t)
-        if t < now:
-            return None
+        if t < now or action == EPSILON:
+            return
         advanced = {c: v + (t - now) for c, v in valuation.items()}
         if not eval_constraint(advanced, platform.invariant(loc)):
-            return None
-        if action == EPSILON:
-            return None
-        is_plan = plan_pos < len(plan_actions) and action == plan_actions[plan_pos]
-        if is_plan:
+            return
+        if plan_pos < len(plan_actions) and action == plan_actions[plan_pos]:
             symbols = {action, f"PlanOrder({plan_pos + 1})", str(loc)}
-            return replay(
-                k + 1, loc, advanced, t, plan_pos + 1,
-                entries + [(frozenset(symbols), t)],
-            )
+            yield (frozenset(symbols), t), (loc, advanced, t, plan_pos + 1)
+            return
+        po = {f"PlanOrder({plan_pos})"} if plan_pos else set()
         for sw in platform_by_label.get(action, ()):
-            if sw.src != loc:
-                continue
-            if not eval_constraint(advanced, sw.guard):
+            if sw.src != loc or not eval_constraint(advanced, sw.guard):
                 continue
             succ = {c: (Fraction(0) if c in sw.resets else v) for c, v in advanced.items()}
             if not eval_constraint(succ, platform.invariant(sw.dst)):
                 continue
-            po = {f"PlanOrder({plan_pos})"} if plan_pos else set()
-            symbols = {action, str(sw.dst)} | po
-            got = replay(k + 1, sw.dst, succ, t, plan_pos, entries + [(frozenset(symbols), t)])
-            if got is not None:
-                return got
-        return None
+            yield (frozenset({action, str(sw.dst)} | po), t), (sw.dst, succ, t, plan_pos)
 
     start_val = {c: Fraction(0) for c in platform.clocks}
     if not eval_constraint(start_val, platform.invariant(platform.initial)):
         return None
-    first = (frozenset({str(platform.initial)}), Fraction(0))
-    entries = replay(0, platform.initial, start_val, Fraction(0), 0, [first])
-    if entries is None:
-        return None
-    return TimedWord(tuple(entries))
+    # depth-first replay over the (finitely many) nondeterministic platform
+    # runs; stack[k] enumerates the moves for trace[k], entries[k + 1] holds
+    # the one taken
+    state = (platform.initial, start_val, Fraction(0), 0)
+    entries = [(frozenset({str(platform.initial)}), Fraction(0))]
+    stack = []
+    while True:
+        if len(stack) < len(trace):
+            stack.append(moves(len(stack), *state))
+        else:
+            loc, _, _, plan_pos = state
+            if plan_pos == len(plan_actions) and (
+                not platform.finals or loc in platform.finals
+            ):
+                return TimedWord(tuple(entries))
+        step = None
+        while stack and step is None:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+        if step is None:
+            return None
+        del entries[len(stack):]
+        entry, state = step
+        entries.append(entry)
 
 
 # --- silent-move reconstruction ----------------------------------------------------
@@ -661,6 +686,13 @@ def validate_transformed(
 
 
 # --- JSON ------------------------------------------------------------------------
+
+
+def plan_from_json(obj) -> Plan:
+    actions = obj.get("actions") if isinstance(obj, dict) else None
+    if not isinstance(actions, list) or not all(isinstance(a, str) and a for a in actions):
+        raise ValueError('plan JSON must be {"actions": [non-empty action names]}')
+    return Plan(tuple(actions))
 
 
 def constraints_from_json(obj: dict) -> ConstraintSet:

@@ -22,16 +22,13 @@ from .golog import Bat, Program, WorldState, normalize
 from .mtl import MtlFormula, TimedWord
 from .temporal import (
     ClockConstraint,
+    ResourceError,
     canonical_value_map,
     canonical_word,
     mono_dom_leq,
     powerset_leq,
     time_successors,
 )
-
-
-class ResourceError(Exception):
-    """Search exceeded its node budget."""
 
 
 class NoControllerError(Exception):

@@ -18,6 +18,10 @@ Q = Fraction
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
 
+class ResourceError(Exception):
+    """A search exceeded its node budget."""
+
+
 def as_fraction(x) -> Fraction:
     """Convert ints, Fractions, and 'p/q' strings to an exact Fraction."""
     if isinstance(x, Fraction):

@@ -8,8 +8,13 @@ inside the feasible zone chain.
 
 The matrices are int64 numpy arrays with bounds packed into integers: a
 bound "difference <= v" is 2v+1, "difference < v" is 2v, and a large
-sentinel stands for infinity.  Packing keeps the Floyd-Warshall closure a
-handful of vectorized array operations.
+sentinel stands for infinity.  Packing keeps closure a handful of
+vectorized array operations.  Conjoining a guard closes the matrix
+incrementally, in O(n^2) per tightened bound (Bengtsson & Yi, 2004); the
+full O(n^3) Floyd-Warshall closure runs only after operations that loosen
+or merge bounds (intersection, past, freeing a clock, extrapolation).
+Constants are limited to MAX_CONSTANT in magnitude, so no finite sum of
+bounds along a path through any DBM that fits in memory reaches INF.
 """
 
 from __future__ import annotations
@@ -20,11 +25,14 @@ from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
-from .temporal import ClockConstraint, TRUE_CONSTRAINT, eval_constraint
+from .temporal import ClockConstraint, ResourceError, TRUE_CONSTRAINT, eval_constraint
 
 EPSILON = "ε"
 
-INF = 1 << 40  # packed infinity; finite packed bounds stay tiny
+MAX_CONSTANT = 1 << 40  # largest constant magnitude a zone accepts
+# Packed infinity.  Finite packed bounds are below 2**42, so a sum of them
+# reaches INF only along a path of 2**19 bounds, and INF + INF fits in int64.
+INF = 1 << 61
 LE_ZERO = 1  # packed (<= 0)
 
 
@@ -88,10 +96,27 @@ class Zone:
         return bool(self.m.diagonal().min() < LE_ZERO)
 
     def _tighten(self, i: int, j: int, packed: int):
-        if packed < self.m[i, j]:
-            self.m[i, j] = packed
+        """Conjoin x_i - x_j (packed) to a canonical zone and restore
+        canonical form in O(n^2): every bound may now route through the new
+        edge.  A negative cycle through the edge empties the zone: the bound
+        is recorded, x_0 - x_0 < 0 marks the zone empty, and an empty zone
+        takes no further tightening."""
+        m = self.m
+        if packed >= m[i, j] or m[0, 0] < LE_ZERO:
+            return
+        back = int(m[j, i])
+        if back < INF and packed + back - ((packed | back) & 1) < LE_ZERO:
+            m[i, j] = packed
+            m[0, 0] = _lt(0)
+            return
+        via = _add(_add(m[:, i, None], packed), m[None, j, :])
+        np.minimum(m, via, out=m)
 
     def _apply_atom(self, clock: str, rel: str, const: int):
+        if abs(const) > MAX_CONSTANT:
+            raise ValueError(
+                f"clock constant {const} exceeds the supported magnitude 2**40"
+            )
         i = self._index[clock]
         if rel in ("<", "<="):
             self._tighten(i, 0, _lt(const) if rel == "<" else _le(const))
@@ -106,7 +131,7 @@ class Zone:
     def and_atom(self, clock: str, rel: str, const: int) -> "Zone":
         z = self.copy()
         z._apply_atom(clock, rel, const)
-        return z.canonicalized()
+        return z
 
     def and_constraint(self, g: ClockConstraint) -> "Zone":
         if not g.atoms:
@@ -114,7 +139,7 @@ class Zone:
         z = self.copy()
         for clock, rel, const in g.atoms:
             z._apply_atom(clock, rel, const)
-        return z.canonicalized()
+        return z
 
     def intersect(self, other: "Zone") -> "Zone":
         assert self.clocks == other.clocks
@@ -165,23 +190,23 @@ class Zone:
         z = self.copy()
         for name in names:
             z._apply_atom(name, "=", 0)
-        z = z.canonicalized()
         if z.is_empty():
             return z
         return z.free(names)
 
     def extrapolate(self, k: int) -> "Zone":
         """Classical maximal-bound abstraction: bounds above k are dropped,
-        bounds below -k are clamped; keeps the zone graph finite."""
-        z = self.copy()
-        m = z.m
-        diag = np.eye(len(m), dtype=bool)
-        high = (m > _le(k)) & ~diag & (m < INF)
-        low = (m < _lt(-k)) & ~diag
+        bounds below -k are clamped; keeps the zone graph finite.  The zone
+        must be canonical and non-empty, so its diagonal is (<= 0), which
+        neither test selects."""
+        m = self.m
+        high = (m > _le(k)) & (m < INF)
+        low = m < _lt(-k)
         if not high.any() and not low.any():
             return self
-        m[high] = INF
-        m[low] = _lt(-k)
+        z = self.copy()
+        z.m[high] = INF
+        z.m[low] = _lt(-k)
         return z.canonicalized()
 
     def includes(self, other: "Zone") -> bool:
@@ -434,7 +459,7 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
             nodes.append((sw.dst, z))
             new_id = len(nodes) - 1
             if len(nodes) > budget:
-                raise ResourceWarning(f"zone graph exceeded {budget} nodes")
+                raise ResourceError(f"zone graph exceeded {budget} nodes")
             parents[new_id] = (nid, idx)
             bucket.append((new_id, z))
             queue.append(new_id)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from timegolog import plantrans, timed_automata
 from timegolog.cli import main, parse_formula_text
 from timegolog.golog import InputError
 from timegolog.mtl import Atom, And, Interval, Not, TRUE, Until, finally_
@@ -255,6 +256,42 @@ class TestTransform:
         # reported times are in the original unit
         times = {e["action"]: e["t"] for e in payload["trace"]}
         assert times["end(goto(l1))"] in ("30", "45") or True
+
+    def run_transform(self, transform_files, **overrides):
+        files = {**transform_files, **overrides}
+        return main([
+            "transform", "--plan", files["plan"],
+            "--platform", files["platform"],
+            "--constraints", files["constraints"],
+        ])
+
+    @pytest.mark.parametrize("plan_obj", [
+        {}, [], {"actions": "ab"}, {"actions": ["a", ""]}, {"actions": [1]},
+    ])
+    def test_malformed_plan_is_usage_error(self, transform_files, tmp_path, capsys, plan_obj):
+        plan = tmp_path / "bad_plan.json"
+        plan.write_text(json.dumps(plan_obj))
+        assert self.run_transform(transform_files, plan=str(plan)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan JSON") and err.count("\n") == 1
+
+    def test_zone_budget_is_usage_error(self, transform_files, capsys, monkeypatch):
+        monkeypatch.setattr(plantrans, "zone_reach",
+                            lambda ta: timed_automata.zone_reach(ta, budget=1))
+        assert self.run_transform(transform_files) == 2
+        err = capsys.readouterr().err
+        assert err == "error: zone graph exceeded 1 nodes\n"
+
+    def test_overflowing_constant_is_usage_error(self, transform_files, tmp_path, capsys):
+        platform_obj = json.loads(Path(transform_files["platform"]).read_text())
+        for sw in platform_obj["switches"]:
+            if sw["label"] == "start(bootCamera)":
+                sw["guard"] = f"(and (<= x_cam {2 ** 40}) (>= x_cam {2 ** 40 + 5}))"
+        platform = tmp_path / "huge_platform.json"
+        platform.write_text(json.dumps(platform_obj))
+        assert self.run_transform(transform_files, platform=str(platform)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: clock constant") and err.count("\n") == 1
 
 
 def test_identical_invocations_are_byte_identical(transform_files, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -118,34 +120,79 @@ class TestEncodePlan:
         assert accepted(Q(10), Q(50))  # 40 in [30,45]
         assert not accepted(Q(10), Q(60))  # 50 outside
 
+    # window shapes the clock sharing must get right: overlapping, nested,
+    # adjacent (one ends where the next starts) and sharing a start
+    WINDOW_SHAPES = (
+        ((1, 3), (2, 4)),
+        ((1, 4), (2, 3)),
+        ((1, 2), (2, 3), (3, 4)),
+        ((1, 2), (1, 3)),
+        ((1, 2), (1, 4), (2, 3)),
+    )
+
     def test_language_matches_oracle_semantics(self):
         rng = random.Random(5)
-        for _ in range(25):
-            n = rng.randint(1, 3)
+        cases = [(4, shape) for shape in self.WINDOW_SHAPES]
+        for _ in range(35):
+            n = rng.randint(1, 4)
+            pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+            k = rng.randint(0, min(3, len(pairs))) if rng.random() < 0.8 else 0
+            cases.append((n, tuple(rng.sample(pairs, k))))
+        for n, shape in cases:
             plan = Plan(tuple(f"a{i}" for i in range(1, n + 1)))
-            rels, abss = [], []
-            if n >= 2 and rng.random() < 0.8:
-                i = rng.randint(1, n - 1)
-                j = rng.randint(i + 1, n)
-                lo = rng.randint(0, 2)
+            rels = []
+            for i, j in shape:
+                lo = rng.randint(0, 3)
                 rels.append(Rel(i, j, Interval(lo, lo + rng.randint(0, 2))))
+            abss = []
             if rng.random() < 0.5:
                 i = rng.randint(1, n)
                 lo = rng.randint(0, 2)
                 abss.append(Abs(i, Interval(lo, lo + rng.randint(0, 2))))
             cs = ConstraintSet(abs=tuple(abss), rel=tuple(rels))
             ta = encode_plan(plan, cs)
+            rel_clocks = [c for c in ta.clocks if c != "x_abs"]
+            assert len(set(ta.clocks)) == len(ta.clocks), ta.clocks
+            assert len(rel_clocks) == max_live_window_starts(n, rels), (shape, ta.clocks)
             words = region_language(ta, max_actions=n)
             formulas = constraint_formulas(plan, cs)
             for word in words:
                 if len(word) != n:
                     continue
-                trace_word_entries = [(frozenset(), Q(0))] + [
-                    (frozenset({label, f"PlanOrder({k + 1})"}), t)
-                    for k, (label, t) in enumerate(word)
-                ]
-                w = mtl.TimedWord(tuple(trace_word_entries))
+                w = plan_order_word(word)
                 assert all(mtl.satisfies(w, 0, phi) for phi in formulas), (plan, cs, word)
+            assert (zone_reach(ta) is not None) == brute_force_realizable(plan, cs), (plan, cs)
+
+
+def max_live_window_starts(n: int, rels) -> int:
+    """Most window starts whose windows are still open at one plan position
+    (a start is open from its position until its last window's end)."""
+    end: dict = {}
+    for c in rels:
+        end[c.i] = max(end.get(c.i, c.j), c.j)
+    return max(
+        (sum(1 for i, e in end.items() if i <= p < e) for p in range(1, n + 1)),
+        default=0,
+    )
+
+
+def plan_order_word(word):
+    return mtl.TimedWord(tuple([(frozenset(), Q(0))] + [
+        (frozenset({label, f"PlanOrder({k + 1})"}), t) for k, (label, t) in enumerate(word)
+    ]))
+
+
+def brute_force_realizable(plan: Plan, cs: ConstraintSet) -> bool:
+    """Some non-decreasing integer timestamps satisfy every constraint
+    formula.  With closed integer windows the earliest solution, if any, is
+    integral and bounded by the sum of the lower ends."""
+    horizon = sum(c.interval.lo for c in cs.abs + cs.rel)
+    formulas = constraint_formulas(plan, cs)
+    for times in itertools.combinations_with_replacement(range(horizon + 1), len(plan)):
+        w = plan_order_word(tuple(zip(plan.actions, map(Q, times))))
+        if all(mtl.satisfies(w, 0, phi) for phi in formulas):
+            return True
+    return False
 
 
 class TestActivations:
@@ -253,6 +300,17 @@ class TestTransform:
 
     def test_empty_plan_trivial(self):
         assert validate_transformed((), Plan(()), camera_platform_ta(), ConstraintSet())
+
+    def test_long_plan_validates_under_default_recursion_limit(self):
+        plan = Plan(tuple(f"a{i}" for i in range(1, 1501)))
+        assert len(plan) > sys.getrecursionlimit()
+        hub = make_ta(("hub",), "hub", ("hub",), ())
+        cs = ConstraintSet(rel=(Rel(1, 2, Interval(1, 2)), Rel(1499, 1500, Interval(2, 3))))
+        trace = transform_plan(plan, hub, cs)
+        assert trace is not None and len(trace) == 1500
+        assert validate_transformed(trace, plan, hub, cs)
+        late = trace[:-1] + (("a1500", trace[-1][1] + 5),)
+        assert not validate_transformed(late, plan, hub, cs)
 
     def test_label_collision_rejected(self):
         plan = Plan(("start(bootCamera)",))

@@ -3,10 +3,13 @@ from fractions import Fraction as Q
 
 import pytest
 
+from timegolog import synthesis
 from timegolog.parsing import load_ta, parse_guard_atoms, guard_to_constraint
-from timegolog.temporal import ClockConstraint
+from timegolog.temporal import ClockConstraint, ResourceError
 from timegolog.timed_automata import (
     EPSILON,
+    INF,
+    LE_ZERO,
     Run,
     Switch,
     Zone,
@@ -120,6 +123,99 @@ class TestZone:
                     z.delay_interval({"x": xv, "y": xv}) is not None for xv in grid
                 )
                 assert found or True  # sampling is a one-sided check
+
+
+def random_canonical_zone(rng: random.Random, n_clocks: int):
+    """Closure of random difference bounds; None when they are unsatisfiable."""
+    clocks = tuple(f"c{i}" for i in range(n_clocks))
+    z = Zone.universal(clocks)
+    for i in range(n_clocks + 1):
+        for j in range(n_clocks + 1):
+            if i != j and rng.random() < 0.4:
+                packed = 2 * rng.randint(-4, 6) + rng.randint(0, 1)
+                z.m[i, j] = min(z.m[i, j], packed)
+    z = z.canonicalized()
+    return None if z.is_empty() else z
+
+
+def naive_and_constraint(z: Zone, atom_list) -> Zone:
+    """Reference: write every atom's bound into the matrix, then run the
+    full Floyd-Warshall closure."""
+    m = z.m.copy()
+    for clock, rel, c in atom_list:
+        i = z.clocks.index(clock) + 1
+        edges = {
+            "<": [(i, 0, 2 * c)], "<=": [(i, 0, 2 * c + 1)],
+            ">": [(0, i, -2 * c)], ">=": [(0, i, -2 * c + 1)],
+            "=": [(i, 0, 2 * c + 1), (0, i, -2 * c + 1)],
+        }[rel]
+        for a, b, packed in edges:
+            m[a, b] = min(m[a, b], packed)
+    return Zone(z.clocks, m).canonicalized()
+
+
+def test_incremental_close_matches_full_closure():
+    rng = random.Random(4242)
+    compared = emptied = 0
+    while compared + emptied < 400:
+        z = random_canonical_zone(rng, rng.randint(1, 6))
+        if z is None:
+            continue
+        atom_list = tuple(
+            (rng.choice(z.clocks), rng.choice(["<", "<=", "=", ">=", ">"]), rng.randint(0, 6))
+            for _ in range(rng.randint(1, 4))
+        )
+        got = z.and_constraint(ClockConstraint(atom_list))
+        want = naive_and_constraint(z, atom_list)
+        assert got.is_empty() == want.is_empty(), atom_list
+        if want.is_empty():
+            emptied += 1
+        else:
+            assert (got.m == want.m).all(), atom_list
+            compared += 1
+    assert compared > 100 and emptied > 50
+
+
+def test_extrapolate_ignores_diagonal_and_returns_self_when_unchanged():
+    z = Zone.zero(("x", "y")).up().and_atom("x", "<=", 2)
+    assert z.extrapolate(3) is z
+    assert (z.m.diagonal() == LE_ZERO).all()
+    far = Zone.zero(("x",)).up().and_atom("x", ">=", 9)
+    cut = far.extrapolate(3)
+    assert cut.m[1, 0] == INF and cut.contains_point({"x": Q(4)})
+
+
+def test_constants_that_overflow_packed_bounds_are_rejected():
+    # x <= 2**40 & x >= 2**40+5 is unsatisfiable; with packed bounds too
+    # close to the infinity sentinel it used to yield an unsound witness
+    guard = atoms(("x", "<=", 2 ** 40), ("x", ">=", 2 ** 40 + 5))
+    ta = make_ta(("a", "b"), "a", ("b",), ("x",),
+                 switches=[Switch("a", "go", guard, frozenset(), "b")])
+    with pytest.raises(ValueError, match="exceeds"):
+        zone_reach(ta)
+    with pytest.raises(ValueError, match="exceeds"):
+        Zone.universal(("x",)).and_atom("x", "<", 2 ** 40 + 1)
+    largest = make_ta(
+        ("a", "b"), "a", ("b",), ("x",),
+        switches=[Switch("a", "go", atoms(("x", ">=", 2 ** 40)), frozenset(), "b")],
+    )
+    run = zone_reach(largest)
+    run.replay_valuations(largest)
+    assert run_to_timed_word(run) == (("go", Q(2 ** 40)),)
+
+
+def test_zone_budget_raises_resource_error():
+    loop = make_ta(
+        ("a", "b"), "a", ("b",), ("x",),
+        switches=[
+            Switch("a", "tick", atoms(("x", ">=", 1)), frozenset(), "a"),
+            Switch("a", "go", atoms(("x", ">", 5), ("x", "<", 5)), frozenset(), "b"),
+        ],
+    )
+    with pytest.raises(ResourceError, match="exceeded 1 nodes"):
+        zone_reach(loop, budget=1)
+    assert synthesis.ResourceError is ResourceError
+    assert zone_reach(loop) is None
 
 
 class TestCompose:
