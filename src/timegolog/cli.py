@@ -20,7 +20,7 @@ from fnmatch import fnmatchcase
 from fractions import Fraction
 
 from . import __version__, ata, golog, mtl, plantrans, synthesis
-from .golog import InputError
+from .golog import InputError, ModelError
 from .parsing import (
     ground_atom_checker,
     load_bat,
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ParseError, ValueError, OSError, ResourceError) as err:
+    except (InputError, ModelError, ParseError, ValueError, OSError, ResourceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -721,8 +721,6 @@ def mtl_from_beta(text: str) -> MtlFormula:
 
 
 def constraints_to_json(cs: ConstraintSet) -> dict:
-    from .parsing import parse_mtl  # noqa: F401  (symmetry with the loader)
-
     def beta_text(phi) -> str:
         if isinstance(phi, Atom):
             return phi.name

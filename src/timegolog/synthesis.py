@@ -27,7 +27,8 @@ from .temporal import (
     canonical_word,
     mono_dom_leq,
     powerset_leq,
-    time_successors,
+    region_delays,
+    time_successors,  # noqa: F401  (re-exported: `synthesis.time_successors` stays importable)
 )
 
 
@@ -175,12 +176,17 @@ def pooled_clock_set(state: DetState, ata: Ata) -> frozenset:
     return frozenset(entries)
 
 
-def canonicalize(state: DetState, ata: Ata, k: int) -> DetState:
-    """Joint region representative of all clock values; the node identity."""
+def clock_values(state: DetState) -> set:
+    """The distinct values of the program and automaton clocks."""
     values = {v for _, v in state.clocks}
     for member in state.members:
-        values |= {v for _, v in member.config}
-    mapping = canonical_value_map(values, k)
+        values.update(v for _, v in member.config)
+    return values
+
+
+def canonicalize(state: DetState, ata: Ata, k: int) -> DetState:
+    """Joint region representative of all clock values; the node identity."""
+    mapping = canonical_value_map(clock_values(state), k)
     clocks = tuple((c, mapping[v]) for c, v in state.clocks)
     members = frozenset(
         Member(m.prog, frozenset((loc, mapping[v]) for loc, v in m.config))
@@ -232,12 +238,15 @@ def is_final_state(problem: Problem, state: DetState) -> bool:
 
 
 def increments(problem: Problem, state: DetState) -> list[Fraction]:
-    """Accumulated region increments of the pooled clock set, ascending."""
-    pooled = pooled_clock_set(state, problem.ata)
-    return [acc for acc, _ in time_successors(pooled, problem.k)]
+    """Accumulated region increments of the pooled clock set, ascending.
+
+    Names never change an increment, so the distinct values suffice."""
+    return region_delays(clock_values(state), problem.k)
 
 
-def det_successors_exact(problem: Problem, state: DetState) -> list:
+def det_successors_exact(
+    problem: Problem, state: DetState, delays: Optional[list] = None
+) -> list:
     """All ((action, increment index), successor) pairs with exact values.
 
     Per increment, the enabled actions are the members' syntactic next steps
@@ -246,10 +255,13 @@ def det_successors_exact(problem: Problem, state: DetState) -> list:
     targets (every automaton run dying) are omitted, which is sound because
     no extension of such a trace can satisfy the specification.  Members
     whose configuration strictly contains another one with the same residual
-    program are dropped (acceptance is downward closed).
+    program are dropped (acceptance is downward closed).  `delays` are the
+    state's `increments`, for callers that already have them.
     """
+    if delays is None:
+        delays = increments(problem, state)
     out = []
-    for idx, delay in enumerate(increments(problem, state)):
+    for idx, delay in enumerate(delays):
         advanced = advance_state(state, delay)
         advanced_world = advanced.world()
         candidates: dict = {}
@@ -279,12 +291,14 @@ def det_successors_exact(problem: Problem, state: DetState) -> list:
     return out
 
 
-def det_successors(problem: Problem, state: DetState) -> list:
+def det_successors(
+    problem: Problem, state: DetState, delays: Optional[list] = None
+) -> list:
     """Canonicalized successors, deterministic order (increments ascending,
     actions lexicographic)."""
     return [
         (key, canonicalize(succ, problem.ata, problem.k))
-        for key, succ in det_successors_exact(problem, state)
+        for key, succ in det_successors_exact(problem, state, delays)
     ]
 
 
@@ -329,6 +343,7 @@ class Node:
     parent: Optional[tuple] = None  # (parent nid, action, incr index)
     label: Optional[bool] = None
     expanded: bool = False
+    delays: Optional[list] = None  # the state's increments, once expanded
 
 
 @dataclass
@@ -387,6 +402,15 @@ def build_graph(
 
     path: list[int] = []
     on_path: set[int] = set()
+    # canonical states share few sets of clock values: one delays list each
+    delays_by_values: dict = {}
+
+    def delays_of(state: DetState) -> list:
+        values = frozenset(clock_values(state))
+        delays = delays_by_values.get(values)
+        if delays is None:
+            delays = delays_by_values[values] = region_delays(values, problem.k)
+        return delays
 
     def classify(node: Node) -> Optional[list]:
         """Set the node status; returns the successor list for inner nodes."""
@@ -402,7 +426,8 @@ def build_graph(
                 node.dominator = anc_id
                 node.expanded = True
                 return None
-        succ = det_successors(problem, node.state)
+        node.delays = delays_of(node.state)
+        succ = det_successors(problem, node.state, node.delays)
         if not succ:
             node.status = DEAD
             node.label = True
@@ -608,13 +633,12 @@ def replay_path(problem: Problem, keys: Iterable[tuple]) -> tuple:
     now = Fraction(0)
     trace = []
     for action, idx in keys:
-        incs = increments(problem, state)
-        delay = incs[idx]
-        successors = dict(det_successors_exact(problem, state))
+        delays = increments(problem, state)
+        successors = dict(det_successors_exact(problem, state, delays))
         succ = successors.get((action, idx))
         if succ is None:
             raise AssertionError("replay diverged from the abstract path")
-        now += delay
+        now += delays[idx]
         trace.append((action, now))
         state = succ
     return tuple(trace)
@@ -711,8 +735,13 @@ class Controller:
     controllable: Callable[[str], bool]
     tie_warnings: tuple = ()
 
+    def __post_init__(self):
+        self._by_source = {}
+        for e in self.edges:
+            self._by_source.setdefault(e.source, []).append(e)
+
     def edges_from(self, location: int):
-        return [e for e in self.edges if e.source == location]
+        return list(self._by_source.get(location, ()))
 
     def to_ta(self):
         from .timed_automata import Switch, make_ta
@@ -774,7 +803,6 @@ def extract_controller(problem: Problem, graph: SearchGraph, controllable) -> Co
     while frontier:
         nid = frontier.pop()
         node = graph.node(nid)
-        incs = increments(problem, node.state)
         env_at = {}
         for (action, idx), _ in node.edges:
             if not controllable(action):
@@ -792,7 +820,7 @@ def extract_controller(problem: Problem, graph: SearchGraph, controllable) -> Co
                 source=nid,
                 action=action,
                 incr_index=idx,
-                guard=_region_guard(problem, node.state, incs[idx]),
+                guard=_region_guard(problem, node.state, node.delays[idx]),
                 resets=problem.bat.actions[action].resets,
                 target=target,
             ))
@@ -858,7 +886,8 @@ def simulate_controller(
         trace = []
         ended = False
         for _ in range(max_steps):
-            real_succ = dict(det_successors_exact(problem, state))
+            delays = increments(problem, state)
+            real_succ = dict(det_successors_exact(problem, state, delays))
             selected = {
                 (e.action, e.incr_index): e for e in controller.edges_from(node.nid)
             }
@@ -896,8 +925,7 @@ def simulate_controller(
             if succ is None:
                 ended = True  # selection error already recorded
                 break
-            incs = increments(problem, state)
-            now += incs[key[1]]
+            now += delays[key[1]]
             trace.append((key[0], now))
             state = succ
             node = graph.node(selected[key].target)

@@ -1,6 +1,9 @@
 """Clocks, regions, region increments, canonical words and quasi-orders.
 
-All clock arithmetic is exact: values are `fractions.Fraction`, never floats.
+All clock arithmetic is exact: values are rationals (`fractions.Fraction`),
+never floats.  The region kernels `region_delays` and `canonical_value_map`
+scale the values they read by the lcm of their denominators and work on the
+resulting integers, building Fractions only for their output.
 A "clock set" in this module is a set of (name, value) pairs rather than a
 mapping, because alternating automata may carry the same name with several
 different clock values at once.
@@ -210,23 +213,52 @@ def region_increment(c: Iterable[tuple[str, Fraction]], k: int) -> Fraction:
     return 1 - mu
 
 
+def region_delays(values: Iterable[Fraction], k: int) -> list[Fraction]:
+    """Accumulated region increments of a clock set with these values,
+    ascending from 0: the delays of `time_successors`, without the sets.
+
+    Only the distinct values at most k matter; names, and values above k,
+    never change an increment.  Over their common denominator D the values
+    are integers a.  The walk's integer points, where some value reaches an
+    integer at most k, are the times -a mod D, D later, and so on up to
+    k*D - a.  From an integer point the walk makes a half step to the
+    midpoint of the next one, and from there a full step onto it, so all
+    delays are integers at scale 2D.  The last integer point is where the
+    smallest value reaches k; the half step from it leaves every value
+    above k.
+    """
+    low = {v for v in values if v <= k}
+    if not low:
+        return [Fraction(0)]
+    scale = lcm(*(v.denominator for v in low))
+    top = k * scale
+    points = set()
+    for v in low:
+        a = v.numerator * (scale // v.denominator)
+        points.update(range(-a % scale, top - a + 1, scale))
+    points = sorted(points)
+    doubled = [0] if points[0] == 0 else [0, 2 * points[0]]
+    for prev, p in zip(points, points[1:]):
+        doubled += (prev + p, 2 * p)
+    doubled.append(2 * points[-1] + scale)
+    scale *= 2
+    return [Fraction(d, scale) for d in doubled]
+
+
 def time_successors(
     c: Iterable[tuple[str, Fraction]], k: int
 ) -> list[tuple[Fraction, frozenset[tuple[str, Fraction]]]]:
     """All region-distinct time successors, as (accumulated delay, clock set).
 
     The first element is (0, c) itself; the last is the first successor in
-    which every value exceeds k.
+    which every value exceeds k.  The delays are those of iterating
+    `region_increment` until every value exceeds k.
     """
     current = _as_clock_set(c)
-    acc = Fraction(0)
-    out = [(acc, current)]
-    while current and any(value <= k for _, value in current):
-        step = region_increment(current, k)
-        acc += step
-        current = frozenset((name, value + step) for name, value in current)
-        out.append((acc, current))
-    return out
+    return [
+        (d, frozenset((name, value + d) for name, value in current))
+        for d in region_delays((value for _, value in current), k)
+    ]
 
 
 def canonical_value_map(values: Iterable[Fraction], k: int) -> dict[Fraction, Fraction]:
@@ -236,20 +268,29 @@ def canonical_value_map(values: Iterable[Fraction], k: int) -> dict[Fraction, Fr
     over a common denominator, preserving integer parts, ties, and order.
     Applying the map to a clock set yields a region-equivalent set with
     denominators bounded by the number of distinct fractional parts, and the
-    map is idempotent on its own image.
+    map is idempotent on its own image.  Fractional parts are ranked as
+    integers over the lcm of the denominators of the values at most k.
     """
-    values = sorted({as_fraction(v) for v in values})
-    fracts = sorted({fract(v, k) for v in values})
+    values = {as_fraction(v) for v in values}
+    low = [v for v in values if v <= k]
+    scale = lcm(1, *(v.denominator for v in low))
+    scaled = {v: v.numerator * (scale // v.denominator) for v in low}
+    fracts = {a % scale for a in scaled.values()}
+    if len(low) < len(values):
+        fracts.add(0)  # values above k count as fractional part 0
     if not fracts:
         return {}
-    if fracts[0] == 0:
-        rep = {f: Fraction(i, len(fracts)) for i, f in enumerate(fracts)}
-    else:
-        rep = {f: Fraction(i + 1, len(fracts) + 1) for i, f in enumerate(fracts)}
-    return {
-        v: (Fraction(k + 1) if v > k else floor(v) + rep[fract(v, k)])
-        for v in values
+    fracts = sorted(fracts)
+    offset = 0 if fracts[0] == 0 else 1
+    denominator = len(fracts) + offset
+    rank = {f: i + offset for i, f in enumerate(fracts)}
+    out = {
+        v: Fraction(a // scale * denominator + rank[a % scale], denominator)
+        for v, a in scaled.items()
     }
+    above = Fraction(k + 1)
+    out.update((v, above) for v in values if v > k)
+    return out
 
 
 def canonical_valuation(

@@ -445,8 +445,12 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
     while queue and goal is None:
         nid = queue.popleft()
         loc, zone = nodes[nid]
-        for idx, sw in sorted(switches_from.get(loc, []), key=lambda p: p[0]):
-            z = zone.up().and_constraint(ta.invariant(loc)).and_constraint(sw.guard)
+        outgoing = switches_from.get(loc)
+        if not outgoing:
+            continue
+        delayed = zone.up().and_constraint(ta.invariant(loc))
+        for idx, sw in outgoing:  # in switch index order
+            z = delayed.and_constraint(sw.guard)
             if z.is_empty():
                 continue
             z = z.reset(sw.resets).and_constraint(ta.invariant(sw.dst))

@@ -190,7 +190,7 @@ def test_criterion_4_camera_synthesis_positive():
     controller = extract_controller(problem, graph, controllable)
     sim = simulate_controller(controller, trials=500, seed=2026)
     elapsed = time.time() - start
-    ok = ok and sim.ok and sim.completed > 0
+    ok = ok and sim.ok and sim.completed > 0 and len(graph.nodes) == 432
     report(
         "criterion 4: camera scenario controller exists and simulates clean",
         ok and elapsed < 60,
@@ -515,6 +515,6 @@ def test_criterion_10_termination_without_budget():
         dominated += sum(1 for n in graph.nodes if n.status == "successful")
     report(
         "criterion 10: graph construction terminates on the corpus without budgets",
-        dominated > 0,
+        total_nodes == 4909 and dominated == 112,
         f"{len(cases)} cases, {total_nodes} nodes, {dominated} dominated leaves",
     )

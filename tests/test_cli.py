@@ -150,6 +150,30 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["verdict"] == "safe"
 
 
+    def test_model_error_is_usage_error(self, tmp_path, capsys):
+        # the functional fluent's axiom yields no value, so progression fails
+        bat = tmp_path / "bat.json"
+        bat.write_text(json.dumps({
+            "sorts": {"Place": ["a", "b"]},
+            "clocks": [],
+            "fluents": [
+                {"name": "p", "args": []},
+                {"name": "at", "kind": "functional", "args": [], "range": "Place"},
+            ],
+            "actions": [{"name": "go"}],
+            "ssa": [{"fluent": "p", "rhs": "false"}, {"fluent": "at", "rhs": "false"}],
+            "initial": {"true": [], "funcs": {"at": "a"}},
+        }))
+        prog = tmp_path / "program.json"
+        prog.write_text(json.dumps({"act": "go"}))
+        code = main(["verify", "--bat", str(bat), "--program", str(prog),
+                     "--spec", "(finally p)"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: successor state axiom for 'at'")
+        assert err.count("\n") == 1
+
+
 class TestSynth:
     def test_camera_controller_exists(self, camera_files, tmp_path, capsys):
         out = tmp_path / "ctrl.json"

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from timegolog import golog, mtl
+from timegolog import golog, mtl, synthesis
 from timegolog.golog import (
     ActionDecl,
     Bat,
@@ -400,3 +400,54 @@ class TestSimulation:
         report = simulate_controller(ctrl, trials=50, seed=3)
         assert report.ok
         assert report.completed == 50
+
+
+@pytest.fixture(scope="module")
+def camera_game():
+    controllable = lambda a: a.startswith("start(")
+    result, graph, problem = check_for_controller(
+        build_camera_bat(), camera_program(), camera_spec(1), controllable
+    )
+    assert result is True
+    return problem, graph, controllable
+
+
+class TestRegionDelaysOncePerState:
+    """Each state's region delays are computed once: extraction reads the
+    ones the search kept on the node, and a simulation step computes them
+    once for both the successors and the elapsed time."""
+
+    def test_extraction_reuses_search_delays(self, camera_game, monkeypatch):
+        expected = extract_controller(*camera_game)
+
+        def forbidden(values, k):
+            raise AssertionError("delays recomputed during extraction")
+
+        monkeypatch.setattr(synthesis, "region_delays", forbidden)
+        assert extract_controller(*camera_game).edges == expected.edges
+
+    def test_simulation_computes_delays_once_per_step(self, camera_game, monkeypatch):
+        controller = extract_controller(*camera_game)
+        calls = {"delays": 0, "successors": 0}
+        delays, successors = synthesis.region_delays, synthesis.det_successors_exact
+
+        def counted_delays(values, k):
+            calls["delays"] += 1
+            return delays(values, k)
+
+        def counted_successors(*args, **kwargs):
+            calls["successors"] += 1
+            return successors(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "region_delays", counted_delays)
+        monkeypatch.setattr(synthesis, "det_successors_exact", counted_successors)
+        report = simulate_controller(controller, trials=5, seed=1)
+        assert report.ok
+        assert calls["delays"] == calls["successors"] > 0
+
+    def test_edges_from_matches_a_scan(self, camera_game):
+        controller = extract_controller(*camera_game)
+        for location in controller.locations:
+            assert controller.edges_from(location) == [
+                e for e in controller.edges if e.source == location
+            ]

@@ -1,18 +1,22 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from math import floor
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timegolog.temporal import (
     CanonicalWord,
     ClockConstraint,
     advance,
+    canonical_value_map,
     canonical_word,
     eval_constraint,
     mono_dom_leq,
     powerset_leq,
     region_equivalent,
+    region_delays,
     region_increment,
     region_index,
     reset,
@@ -322,3 +326,63 @@ def test_constraint_satisfaction_is_region_invariant(c, k, data):
     const = data.draw(st.integers(min_value=0, max_value=k))
     g = ClockConstraint(((name, rel, const),))
     assert eval_constraint(base, g) == eval_constraint(shifted, g)
+
+
+# --- integer region kernels against plain-Fraction references ---------------
+
+kernel_values = st.lists(
+    st.builds(
+        Q, st.integers(min_value=0, max_value=40), st.sampled_from([1, 2, 3, 4, 6, 8, 12])
+    ),
+    max_size=6,
+)
+
+
+def stepwise_region_delays(values, k):
+    """Accumulate `region_increment` one step at a time until every value
+    exceeds k; duplicate values are kept under distinct names."""
+    current = [(f"x{i}", v) for i, v in enumerate(values)]
+    acc = Q(0)
+    out = [acc]
+    while any(v <= k for _, v in current):
+        step = region_increment(current, k)
+        acc += step
+        current = [(n, v + step) for n, v in current]
+        out.append(acc)
+    return out
+
+
+@given(kernel_values, st.integers(min_value=1, max_value=3))
+@example([], 2)
+@example([Q(3), Q(7, 2)], 2)  # every value above k
+@example([Q(0), Q(0), Q(1, 2)], 2)  # duplicates, an integer point
+@example([Q(2), Q(1, 3)], 2)  # a value exactly at k
+@example([Q(5, 3), Q(1, 4), Q(11, 4), Q(1)], 2)
+def test_region_delays_equal_stepwise_increments(values, k):
+    assert region_delays(values, k) == stepwise_region_delays(values, k)
+
+
+def fraction_value_map(values, k):
+    """Region representatives computed with Fraction arithmetic throughout."""
+    values = sorted(set(values))
+    fracts = sorted({Q(0) if v > k else v - floor(v) for v in values})
+    if not fracts:
+        return {}
+    if fracts[0] == 0:
+        rep = {f: Q(i, len(fracts)) for i, f in enumerate(fracts)}
+    else:
+        rep = {f: Q(i + 1, len(fracts) + 1) for i, f in enumerate(fracts)}
+    return {v: Q(k + 1) if v > k else floor(v) + rep[v - floor(v)] for v in values}
+
+
+@given(kernel_values, st.integers(min_value=1, max_value=3))
+@example([], 2)
+@example([Q(3), Q(7, 2)], 2)
+@example([Q(0), Q(0), Q(1, 2), Q(5, 2)], 2)
+def test_canonical_value_map_equals_fraction_reference(values, k):
+    got = canonical_value_map(values, k)
+    want = fraction_value_map(values, k)
+    assert got == want
+    assert all(
+        type(got[v]) is Q and got[v].denominator == want[v].denominator for v in want
+    )
