@@ -55,12 +55,19 @@ class Interval:
     def from_json(obj) -> "Interval":
         if isinstance(obj, Interval):
             return obj
-        return Interval(
-            int(obj.get("lo", 0)),
-            None if obj.get("hi") is None else int(obj["hi"]),
-            bool(obj.get("loOpen", False)),
-            bool(obj.get("hiOpen", False)),
-        )
+        if isinstance(obj, dict):
+            lo, hi = obj.get("lo", 0), obj.get("hi")
+            lo_open, hi_open = obj.get("loOpen", False), obj.get("hiOpen", False)
+            if (
+                _is_int(lo) and (hi is None or _is_int(hi))
+                and isinstance(lo_open, bool) and isinstance(hi_open, bool)
+            ):
+                return Interval(lo, hi, lo_open, hi_open)
+        raise ValueError(f"malformed interval JSON: {obj!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 UNBOUNDED = Interval(0, None)

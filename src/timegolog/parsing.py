@@ -439,7 +439,39 @@ def static_to_sexpr(f: Formula) -> str:
 # --- timed automata ----------------------------------------------------------------
 
 
+def _check_ta_json(obj) -> None:
+    """Raise InputError unless obj has the shape `ta_to_json` writes."""
+
+    def names(value) -> bool:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+    ok = (
+        isinstance(obj, dict)
+        and names(obj.get("locations"))
+        and isinstance(obj.get("initial"), str)
+        and names(obj.get("finals", []))
+        and names(obj.get("clocks", []))
+        and isinstance(obj.get("invariants", {}), dict)
+        and all(isinstance(v, str) for v in obj.get("invariants", {}).values())
+        and isinstance(obj.get("switches", []), list)
+        and all(
+            isinstance(sw, dict)
+            and all(isinstance(sw.get(key), str) for key in ("src", "label", "dst"))
+            and isinstance(sw.get("guard", "true"), str)
+            and names(sw.get("resets", []))
+            for sw in obj.get("switches", [])
+        )
+    )
+    if not ok:
+        raise InputError(
+            "timed automaton JSON must name its locations, initial location, finals "
+            "and clocks by strings, map locations to guard strings as invariants, and "
+            "list switches with string src, label, dst and guard and a list of resets"
+        )
+
+
 def load_ta(obj: dict, scale: int = 1) -> TimedAutomaton:
+    _check_ta_json(obj)
     locations = tuple(obj["locations"])
     invariants = {
         loc: guard_to_constraint(parse_guard_atoms(text), scale)
@@ -468,6 +500,7 @@ def load_ta(obj: dict, scale: int = 1) -> TimedAutomaton:
 
 def ta_constants(obj: dict):
     """Rational constants mentioned by a timed-automaton JSON object."""
+    _check_ta_json(obj)
     for text in obj.get("invariants", {}).values():
         for _, _, const in parse_guard_atoms(text):
             yield const

@@ -342,6 +342,12 @@ def transform_plan(
     shared = set(plan.actions) & {str(sw.label) for sw in platform.switches}
     if shared:
         raise ValueError(f"plan actions collide with platform labels: {sorted(shared)}")
+    for sw in platform.switches:
+        if sw.label == EPSILON and (sw.src != sw.dst or sw.guard.atoms or sw.resets):
+            raise ValueError(
+                f"platform switch {sw} uses the label {EPSILON}, which is reserved "
+                "for self-loops without guard or resets"
+            )
     enc = build_encoding(plan, platform, constraints)
     run = zone_reach(enc)
     if run is None:
@@ -695,22 +701,43 @@ def plan_from_json(obj) -> Plan:
     return Plan(tuple(actions))
 
 
+def _field(entry, key: str, kind: type, where: str):
+    """entry[key] when entry is a JSON object and the value has type kind."""
+    value = entry.get(key) if isinstance(entry, dict) else None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f'constraints JSON: each {where} needs a "{key}" of type {kind.__name__}')
+    return value
+
+
 def constraints_from_json(obj: dict) -> ConstraintSet:
+    if not isinstance(obj, dict):
+        raise ValueError("constraints JSON must be an object")
+
+    def entries(key: str) -> list:
+        items = obj.get(key, [])
+        if not isinstance(items, list):
+            raise ValueError(f'constraints JSON: "{key}" must be a list')
+        return items
+
+    def interval(entry, where: str) -> Interval:
+        return Interval.from_json(_field(entry, "interval", dict, where))
+
     abs_cs = tuple(
-        Abs(int(c["i"]), Interval.from_json(c["interval"]))
-        for c in obj.get("abs", ())
+        Abs(_field(c, "i", int, "abs"), interval(c, "abs"))
+        for c in entries("abs")
     )
     rel_cs = tuple(
-        Rel(int(c["i"]), int(c["j"]), Interval.from_json(c["interval"]))
-        for c in obj.get("rel", ())
+        Rel(_field(c, "i", int, "rel"), _field(c, "j", int, "rel"), interval(c, "rel"))
+        for c in entries("rel")
     )
     chains = []
-    for c in obj.get("chain", ()):
+    for c in entries("chain"):
         stages = tuple(
-            (mtl_from_beta(st["beta"]), Interval.from_json(st["interval"]))
-            for st in c["stages"]
+            (mtl_from_beta(_field(st, "beta", str, "stage")), interval(st, "stage"))
+            for st in _field(c, "stages", list, "chain")
         )
-        chains.append(Chain(stages, c["alpha1"], c["alpha2"]))
+        chains.append(Chain(stages, _field(c, "alpha1", str, "chain"),
+                            _field(c, "alpha2", str, "chain")))
     return ConstraintSet(abs_cs, rel_cs, tuple(chains))
 
 

@@ -3,27 +3,29 @@
 Zones are difference bound matrices over the declared clocks plus the zero
 reference; all bounds are integers (inputs must be pre-scaled), emptiness
 and inclusion are decided on the canonical form.  The reachability search
-returns a concrete run: a switch sequence with exact rational delays chosen
-inside the feasible zone chain.
+stores delay-closed zones and returns a concrete run: a switch sequence
+with exact rational delays chosen inside the feasible zone chain, replayed
+before it is returned.
 
-The matrices are int64 numpy arrays with bounds packed into integers: a
-bound "difference <= v" is 2v+1, "difference < v" is 2v, and a large
-sentinel stands for infinity.  Packing keeps closure a handful of
-vectorized array operations.  Conjoining a guard closes the matrix
-incrementally, in O(n^2) per tightened bound (Bengtsson & Yi, 2004); the
-full O(n^3) Floyd-Warshall closure runs only after operations that loosen
-or merge bounds (intersection, past, freeing a clock, extrapolation).
-Constants are limited to MAX_CONSTANT in magnitude, so no finite sum of
-bounds along a path through any DBM that fits in memory reaches INF.
+A matrix is a flat row-major list of Python integers with bounds packed
+into them: a bound "difference <= v" is 2v+1, "difference < v" is 2v, and
+a large sentinel stands for infinity.  Packing makes bound addition and
+comparison single integer operations, and the matrices are small (one row
+per clock plus one), so plain loops that skip infinite entries beat array
+code.  Conjoining a guard closes the matrix incrementally, in O(n^2) per
+tightened bound (Bengtsson & Yi, 2004); the full O(n^3) Floyd-Warshall
+closure runs only after operations that loosen or merge bounds
+(intersection, past, freeing a clock, extrapolation).  Constants are
+limited to MAX_CONSTANT in magnitude, so no finite sum of bounds along a
+path through any DBM that fits in memory reaches INF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 from typing import Hashable, Iterable, Optional
-
-import numpy as np
 
 from .temporal import ClockConstraint, ResourceError, TRUE_CONSTRAINT, eval_constraint
 
@@ -31,7 +33,7 @@ EPSILON = "ε"
 
 MAX_CONSTANT = 1 << 40  # largest constant magnitude a zone accepts
 # Packed infinity.  Finite packed bounds are below 2**42, so a sum of them
-# reaches INF only along a path of 2**19 bounds, and INF + INF fits in int64.
+# reaches INF only along a path of 2**19 bounds.
 INF = 1 << 61
 LE_ZERO = 1  # packed (<= 0)
 
@@ -44,56 +46,72 @@ def _lt(v: int) -> int:
     return 2 * v
 
 
-def _add(m1, m2):
+def _add(a: int, b: int) -> int:
     """Packed bound addition: values add, the result is non-strict only when
     both arguments are."""
-    out = m1 + m2 - ((m1 | m2) & 1)
-    return np.where((m1 >= INF) | (m2 >= INF), INF, out)
+    if a >= INF or b >= INF:
+        return INF
+    return a + b - ((a | b) & 1)
 
 
 class Zone:
-    """Canonical DBM over clocks x_1..x_n with x_0 the zero reference."""
+    """Canonical DBM over clocks x_1..x_n with x_0 the zero reference.
+
+    `m` holds the (n+1)x(n+1) packed bounds row by row: the bound on
+    x_i - x_j is m[i * (n+1) + j]."""
 
     __slots__ = ("clocks", "m", "_index")
 
-    def __init__(self, clocks: tuple, m=None):
+    def __init__(self, clocks: tuple, m: Optional[list] = None):
         self.clocks = tuple(clocks)
         self._index = {c: i + 1 for i, c in enumerate(self.clocks)}
         n = len(self.clocks) + 1
         if m is None:
-            m = np.full((n, n), INF, dtype=np.int64)
-            m[0, :] = LE_ZERO  # clocks are non-negative
-            np.fill_diagonal(m, LE_ZERO)
+            m = [INF] * (n * n)
+            m[:n] = [LE_ZERO] * n  # clocks are non-negative
+            m[:: n + 1] = [LE_ZERO] * n
         self.m = m
 
     @classmethod
     def zero(cls, clocks: tuple) -> "Zone":
-        z = cls(clocks)
-        z.m = np.full_like(z.m, LE_ZERO)
-        return z
+        n = len(clocks) + 1
+        return cls(clocks, [LE_ZERO] * (n * n))
 
     @classmethod
     def universal(cls, clocks: tuple) -> "Zone":
         return cls(clocks)
 
-    def copy(self) -> "Zone":
+    def _with(self, m: list) -> "Zone":
+        """A zone over the same clocks with matrix m."""
         z = Zone.__new__(Zone)
         z.clocks = self.clocks
         z._index = self._index
-        z.m = self.m.copy()
+        z.m = m
         return z
+
+    def copy(self) -> "Zone":
+        return self._with(self.m[:])
 
     def canonicalized(self) -> "Zone":
         """Tighten all bounds (Floyd-Warshall closure); idempotent."""
         z = self.copy()
         m = z.m
-        for k in range(len(m)):
-            via = _add(m[:, k, None], m[None, k, :])
-            np.minimum(m, via, out=m)
+        n = len(self.clocks) + 1
+        for k in range(n):
+            row_k = m[k * n:(k + 1) * n]
+            for i in range(0, n * n, n):
+                ik = m[i + k]
+                if ik >= INF:
+                    continue
+                for j, kj in enumerate(row_k):  # _add inlined: the hot loop
+                    if kj < INF:
+                        s = ik + kj - ((ik | kj) & 1)
+                        if s < m[i + j]:
+                            m[i + j] = s
         return z
 
     def is_empty(self) -> bool:
-        return bool(self.m.diagonal().min() < LE_ZERO)
+        return min(self.m[:: len(self.clocks) + 2]) < LE_ZERO
 
     def _tighten(self, i: int, j: int, packed: int):
         """Conjoin x_i - x_j (packed) to a canonical zone and restore
@@ -102,15 +120,24 @@ class Zone:
         is recorded, x_0 - x_0 < 0 marks the zone empty, and an empty zone
         takes no further tightening."""
         m = self.m
-        if packed >= m[i, j] or m[0, 0] < LE_ZERO:
+        n = len(self.clocks) + 1
+        if packed >= m[i * n + j] or m[0] < LE_ZERO:
             return
-        back = int(m[j, i])
-        if back < INF and packed + back - ((packed | back) & 1) < LE_ZERO:
-            m[i, j] = packed
-            m[0, 0] = _lt(0)
+        if _add(packed, m[j * n + i]) < LE_ZERO:
+            m[i * n + j] = packed
+            m[0] = _lt(0)
             return
-        via = _add(_add(m[:, i, None], packed), m[None, j, :])
-        np.minimum(m, via, out=m)
+        row_j = m[j * n:(j + 1) * n]
+        for a in range(0, n * n, n):
+            ai = m[a + i]
+            if ai >= INF:
+                continue
+            via = _add(ai, packed)
+            for b, jb in enumerate(row_j):  # _add inlined: the hot loop
+                if jb < INF:
+                    s = via + jb - ((via | jb) & 1)
+                    if s < m[a + b]:
+                        m[a + b] = s
 
     def _apply_atom(self, clock: str, rel: str, const: int):
         if abs(const) > MAX_CONSTANT:
@@ -143,45 +170,46 @@ class Zone:
 
     def intersect(self, other: "Zone") -> "Zone":
         assert self.clocks == other.clocks
-        z = self.copy()
-        np.minimum(z.m, other.m, out=z.m)
-        return z.canonicalized()
+        return self._with(list(map(min, self.m, other.m))).canonicalized()
 
     def up(self) -> "Zone":
         """Future closure: delay by any non-negative amount (stays canonical)."""
         z = self.copy()
-        z.m[1:, 0] = INF
+        n = len(self.clocks) + 1
+        z.m[n::n] = [INF] * (n - 1)
         return z
 
     def down(self) -> "Zone":
         """Past closure intersected with non-negative clocks."""
         z = self.copy()
-        n = len(z.m)
+        m = z.m
+        n = len(self.clocks) + 1
         for j in range(1, n):
-            z.m[0, j] = min(LE_ZERO, int(z.m[1:, j].min()))
+            m[j] = min(LE_ZERO, min(m[n + j::n]))
         return z.canonicalized()
 
     def reset(self, names: Iterable[str]) -> "Zone":
         """Zero the given clocks (input must be canonical; stays canonical)."""
         z = self.copy()
+        m = z.m
+        n = len(self.clocks) + 1
         for name in names:
             y = z._index[name]
-            z.m[y, :] = z.m[0, :]
-            z.m[:, y] = z.m[:, 0]
-            z.m[y, y] = LE_ZERO
-            z.m[y, 0] = LE_ZERO
-            z.m[0, y] = LE_ZERO
+            m[y * n:(y + 1) * n] = m[:n]
+            m[y::n] = m[::n]
+            m[y * n + y] = m[y * n] = m[y] = LE_ZERO
         return z
 
     def free(self, names: Iterable[str]) -> "Zone":
         """Remove all constraints on the given clocks except non-negativity."""
         z = self.copy()
+        m = z.m
+        n = len(self.clocks) + 1
         for name in names:
             y = z._index[name]
-            z.m[y, :] = INF
-            z.m[:, y] = z.m[:, 0]
-            z.m[0, y] = LE_ZERO
-            z.m[y, y] = LE_ZERO
+            m[y * n:(y + 1) * n] = [INF] * n
+            m[y::n] = m[::n]
+            m[y] = m[y * n + y] = LE_ZERO
         return z.canonicalized()
 
     def reset_pre(self, names: Iterable[str]) -> "Zone":
@@ -199,28 +227,22 @@ class Zone:
         bounds below -k are clamped; keeps the zone graph finite.  The zone
         must be canonical and non-empty, so its diagonal is (<= 0), which
         neither test selects."""
-        m = self.m
-        high = (m > _le(k)) & (m < INF)
-        low = m < _lt(-k)
-        if not high.any() and not low.any():
+        high, low = _le(k), _lt(-k)
+        m = [INF if b > high else low if b < low else b for b in self.m]
+        if m == self.m:
             return self
-        z = self.copy()
-        z.m[high] = INF
-        z.m[low] = _lt(-k)
-        return z.canonicalized()
+        return self._with(m).canonicalized()
 
     def includes(self, other: "Zone") -> bool:
         """other ⊆ self, both canonical."""
-        return bool((other.m <= self.m).all())
+        return all(map(le, other.m, self.m))
 
     def _bounds(self):
-        n = len(self.m)
+        n = len(self.clocks) + 1
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                packed = int(self.m[i, j])
-                if packed >= INF:
+                packed = self.m[i * n + j]
+                if i == j or packed >= INF:
                     continue
                 yield i, j, packed >> 1, not (packed & 1)
 
@@ -260,7 +282,7 @@ class Zone:
         return (lo, lo_strict, hi, hi_strict)
 
     def key(self):
-        return self.m.tobytes()
+        return tuple(self.m)
 
 
 def pick_delay(interval) -> Fraction:
@@ -424,48 +446,56 @@ def run_to_timed_word(run: Run) -> tuple:
 
 def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
     """Breadth-first zone exploration; returns one accepting run with
-    concrete delays, or None when no final location is reachable."""
+    concrete delays, replayed on the automaton, or None when no final
+    location is reachable.
+
+    Stored zones are delay-closed: a node holds every valuation reachable
+    by letting time pass in its location, and a successor under switch
+    (g, r, dst) is up(reset_r(Z ∧ g) ∧ inv_dst) ∧ inv_dst, extrapolated.
+    A self-loop without guard or resets maps such a zone into itself, so
+    it is never taken."""
     from collections import deque
 
     k = ta.max_constant()
     switches_from = {}
     for idx, sw in enumerate(ta.switches):
+        if sw.src == sw.dst and not sw.guard.atoms and not sw.resets:
+            continue
         switches_from.setdefault(sw.src, []).append((idx, sw))
 
-    init = Zone.zero(ta.clocks).and_constraint(ta.invariant(ta.initial))
+    inv0 = ta.invariant(ta.initial)
+    init = Zone.zero(ta.clocks).and_constraint(inv0)
     if init.is_empty():
         return None
+    init = init.up().and_constraint(inv0)
     # node: (loc, zone); parents: node id -> (parent id, switch index)
     nodes = [(ta.initial, init)]
     parents = {0: None}
-    stored = {ta.initial: [(0, init)]}
+    stored = {ta.initial: [init]}
     queue = deque([0])
     goal = 0 if ta.initial in ta.finals else None
 
     while queue and goal is None:
         nid = queue.popleft()
         loc, zone = nodes[nid]
-        outgoing = switches_from.get(loc)
-        if not outgoing:
-            continue
-        delayed = zone.up().and_constraint(ta.invariant(loc))
-        for idx, sw in outgoing:  # in switch index order
-            z = delayed.and_constraint(sw.guard)
+        for idx, sw in switches_from.get(loc, ()):  # in switch index order
+            z = zone.and_constraint(sw.guard)
             if z.is_empty():
                 continue
-            z = z.reset(sw.resets).and_constraint(ta.invariant(sw.dst))
+            inv = ta.invariant(sw.dst)
+            z = z.reset(sw.resets).and_constraint(inv)
             if z.is_empty():
                 continue
-            z = z.extrapolate(k)
+            z = z.up().and_constraint(inv).extrapolate(k)
             bucket = stored.setdefault(sw.dst, [])
-            if any(existing.includes(z) for _, existing in bucket):
+            if any(existing.includes(z) for existing in bucket):
                 continue
             nodes.append((sw.dst, z))
             new_id = len(nodes) - 1
             if len(nodes) > budget:
                 raise ResourceError(f"zone graph exceeded {budget} nodes")
             parents[new_id] = (nid, idx)
-            bucket.append((new_id, z))
+            bucket.append(z)
             queue.append(new_id)
             if sw.dst in ta.finals:
                 goal = new_id
@@ -481,7 +511,9 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
         path.append(ta.switches[idx])
         cur = pid
     path.reverse()
-    return _extract_run(ta, path)
+    run = _extract_run(ta, path)
+    run.replay_valuations(ta)
+    return run
 
 
 def _extract_run(ta: TimedAutomaton, path: list) -> Run:

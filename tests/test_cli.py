@@ -299,6 +299,42 @@ class TestTransform:
         err = capsys.readouterr().err
         assert err.startswith("error: plan JSON") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("platform_obj", [
+        [], {"locations": "camOn", "initial": "camOn"},
+        {"locations": ["a"], "initial": "a", "switches": [{"src": "a", "dst": "a"}]},
+    ])
+    def test_malformed_platform_is_usage_error(self, transform_files, tmp_path, capsys,
+                                               platform_obj):
+        platform = tmp_path / "bad_platform.json"
+        platform.write_text(json.dumps(platform_obj))
+        assert self.run_transform(transform_files, platform=str(platform)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: timed automaton JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("constraints_obj", [
+        [], {"rel": {}}, {"rel": [{"i": 1, "j": "2", "interval": {}}]},
+        {"abs": [{"i": 1, "interval": {"lo": 1.5}}]}, {"chain": [{"stages": []}]},
+    ])
+    def test_malformed_constraints_are_usage_error(self, transform_files, tmp_path, capsys,
+                                                   constraints_obj):
+        constraints = tmp_path / "bad_constraints.json"
+        constraints.write_text(json.dumps(constraints_obj))
+        assert self.run_transform(transform_files, constraints=str(constraints)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_epsilon_label_on_a_real_switch_is_usage_error(self, transform_files, tmp_path,
+                                                           capsys):
+        # transformed traces drop ε steps, so an ε switch that changes the
+        # platform state would yield a trace that fails validation
+        platform_obj = json.loads(Path(transform_files["platform"]).read_text())
+        platform_obj["switches"][0]["label"] = "ε"
+        platform = tmp_path / "epsilon_platform.json"
+        platform.write_text(json.dumps(platform_obj))
+        assert self.run_transform(transform_files, platform=str(platform)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: platform switch") and err.count("\n") == 1
+
     def test_zone_budget_is_usage_error(self, transform_files, capsys, monkeypatch):
         monkeypatch.setattr(plantrans, "zone_reach",
                             lambda ta: timed_automata.zone_reach(ta, budget=1))

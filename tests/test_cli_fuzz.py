@@ -1,0 +1,151 @@
+"""Fuzzing the `transform` command with random plan, constraint and platform
+JSON, well-formed and malformed.  Whatever it reads, the command ends with a
+verdict (exit 0 or 1) or a one-line error (exit 2), never a traceback."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from timegolog.cli import main
+
+ACTIONS = ("start(a)", "end(a)", "start(b)", "end(b)", "go")
+LOCATIONS = ("p0", "p1", "p2")
+CLOCKS = ("x", "y")
+RELATIONS = ("<", "<=", "=", ">=", ">")
+
+constants = st.sampled_from(["0", "1", "2", "3", "1/2", "5/2"])
+atoms = st.builds(lambda rel, clock, c: f"({rel} {clock} {c})",
+                  st.sampled_from(RELATIONS), st.sampled_from(CLOCKS), constants)
+guards = st.one_of(
+    st.just("true"), atoms,
+    st.lists(atoms, min_size=2, max_size=3).map(lambda a: "(and " + " ".join(a) + ")"),
+)
+
+
+@st.composite
+def platforms(draw):
+    locations = draw(st.lists(st.sampled_from(LOCATIONS), min_size=1, max_size=3, unique=True))
+    location = st.sampled_from(locations)
+    switches = draw(st.lists(st.fixed_dictionaries({
+        "src": location,
+        "label": st.sampled_from(("on", "off")),
+        "guard": guards,
+        "resets": st.lists(st.sampled_from(CLOCKS), max_size=2, unique=True),
+        "dst": location,
+    }), max_size=4))
+    # ε is reserved for idle self-loops, which the transformation adds itself
+    switches += [{"src": l, "label": "ε", "dst": l}
+                 for l in draw(st.lists(location, max_size=2, unique=True))]
+    return {
+        "locations": locations,
+        "initial": draw(location),
+        "finals": draw(st.lists(location, max_size=2, unique=True)),
+        "clocks": list(CLOCKS),
+        "invariants": draw(st.dictionaries(location, guards, max_size=2)),
+        "switches": switches,
+    }
+
+
+intervals = st.builds(
+    lambda lo, width, lo_open, hi_open: {
+        "lo": lo, "hi": None if width is None else lo + width,
+        "loOpen": lo_open, "hiOpen": hi_open,
+    },
+    st.integers(0, 4), st.none() | st.integers(0, 4), st.booleans(), st.booleans(),
+)
+betas = st.sampled_from(LOCATIONS + ("true", "(not p0)", "(or p1 p2)"))
+
+
+@st.composite
+def problems(draw):
+    """A plan, a platform and constraints whose positions lie in the plan."""
+    actions = draw(st.lists(st.sampled_from(ACTIONS), max_size=4))
+    positions = st.integers(1, max(len(actions), 1))
+    pairs = st.tuples(positions, positions).filter(lambda ij: ij[0] < ij[1])
+    constraints = draw(st.fixed_dictionaries({
+        "abs": st.lists(st.fixed_dictionaries({"i": positions, "interval": intervals}),
+                        max_size=2 if actions else 0),
+        "rel": st.lists(st.builds(lambda ij, iv: {"i": ij[0], "j": ij[1], "interval": iv},
+                                  pairs, intervals), max_size=2 if len(actions) > 1 else 0),
+        "chain": st.lists(st.fixed_dictionaries({
+            "stages": st.lists(st.fixed_dictionaries({"beta": betas, "interval": intervals}),
+                               min_size=1, max_size=2),
+            "alpha1": st.sampled_from(("start:a*", "start:*", "go")),
+            "alpha2": st.sampled_from(("end:a*", "end:*", "go")),
+        }), max_size=1),
+    }))
+    return {"plan": {"actions": actions}, "platform": draw(platforms()),
+            "constraints": constraints}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(LOCATIONS + ACTIONS + ("(<= x 1)", "[")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(
+        ("actions", "locations", "initial", "switches", "rel", "chain", "interval")),
+        inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate(draw, doc):
+    """The document with one value somewhere replaced or removed."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return doc
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(json_values)
+        return doc
+
+
+@st.composite
+def inputs(draw):
+    """Text of the three input files: all well-formed, or one of them broken
+    by a mutation, replaced by arbitrary JSON, or not JSON at all."""
+    docs = draw(problems())
+    texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    broken = draw(st.sampled_from((None,) + tuple(docs)))
+    how = draw(st.sampled_from(("mutate", "json", "text")))
+    if broken is None:
+        pass
+    elif how == "mutate":
+        texts[broken] = json.dumps(mutate(draw, docs[broken]))
+    elif how == "json":
+        texts[broken] = json.dumps(draw(json_values))
+    else:
+        texts[broken] = draw(st.text(max_size=12))
+    return texts
+
+
+@settings(max_examples=300)
+@given(inputs())
+def test_transform_ends_in_a_verdict_or_a_one_line_error(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["transform"]
+        for name, text in texts.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(text)
+            argv += [f"--{name}", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

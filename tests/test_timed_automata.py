@@ -1,9 +1,11 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
-from timegolog import synthesis
+from timegolog import synthesis, timed_automata
 from timegolog.parsing import load_ta, parse_guard_atoms, guard_to_constraint
 from timegolog.temporal import ClockConstraint, ResourceError
 from timegolog.timed_automata import (
@@ -129,11 +131,12 @@ def random_canonical_zone(rng: random.Random, n_clocks: int):
     """Closure of random difference bounds; None when they are unsatisfiable."""
     clocks = tuple(f"c{i}" for i in range(n_clocks))
     z = Zone.universal(clocks)
-    for i in range(n_clocks + 1):
-        for j in range(n_clocks + 1):
+    n = n_clocks + 1
+    for i in range(n):
+        for j in range(n):
             if i != j and rng.random() < 0.4:
                 packed = 2 * rng.randint(-4, 6) + rng.randint(0, 1)
-                z.m[i, j] = min(z.m[i, j], packed)
+                z.m[i * n + j] = min(z.m[i * n + j], packed)
     z = z.canonicalized()
     return None if z.is_empty() else z
 
@@ -141,7 +144,8 @@ def random_canonical_zone(rng: random.Random, n_clocks: int):
 def naive_and_constraint(z: Zone, atom_list) -> Zone:
     """Reference: write every atom's bound into the matrix, then run the
     full Floyd-Warshall closure."""
-    m = z.m.copy()
+    m = z.m[:]
+    n = len(z.clocks) + 1
     for clock, rel, c in atom_list:
         i = z.clocks.index(clock) + 1
         edges = {
@@ -150,7 +154,7 @@ def naive_and_constraint(z: Zone, atom_list) -> Zone:
             "=": [(i, 0, 2 * c + 1), (0, i, -2 * c + 1)],
         }[rel]
         for a, b, packed in edges:
-            m[a, b] = min(m[a, b], packed)
+            m[a * n + b] = min(m[a * n + b], packed)
     return Zone(z.clocks, m).canonicalized()
 
 
@@ -171,7 +175,7 @@ def test_incremental_close_matches_full_closure():
         if want.is_empty():
             emptied += 1
         else:
-            assert (got.m == want.m).all(), atom_list
+            assert got.m == want.m, atom_list
             compared += 1
     assert compared > 100 and emptied > 50
 
@@ -179,10 +183,106 @@ def test_incremental_close_matches_full_closure():
 def test_extrapolate_ignores_diagonal_and_returns_self_when_unchanged():
     z = Zone.zero(("x", "y")).up().and_atom("x", "<=", 2)
     assert z.extrapolate(3) is z
-    assert (z.m.diagonal() == LE_ZERO).all()
+    assert z.m[::4] == [LE_ZERO] * 3  # the diagonal of the 3x3 matrix
     far = Zone.zero(("x",)).up().and_atom("x", ">=", 9)
     cut = far.extrapolate(3)
-    assert cut.m[1, 0] == INF and cut.contains_point({"x": Q(4)})
+    assert cut.m[1 * 2 + 0] == INF and cut.contains_point({"x": Q(4)})
+
+
+ZONE_OPS = ("up", "down", "reset", "free", "intersect", "extrapolate", "atom")
+RELATIONS = ("<", "<=", "=", ">=", ">")
+
+
+def random_zone_op(rng: random.Random, z: Zone, op: str) -> Zone:
+    clock = rng.choice(z.clocks)
+    if op == "up":
+        return z.up()
+    if op == "down":
+        return z.down()
+    if op == "reset":
+        return z.reset([clock])
+    if op == "free":
+        return z.free([clock])
+    if op == "intersect":
+        other = Zone.universal(z.clocks).and_atom(clock, rng.choice(RELATIONS), rng.randint(0, 2))
+        return z.intersect(other.up() if rng.random() < 0.5 else other)
+    if op == "extrapolate":
+        return z.extrapolate(rng.randint(0, 2))
+    return z.and_atom(clock, rng.choice(RELATIONS), rng.randint(0, 2))
+
+
+def random_op_zone(rng: random.Random, clocks: tuple, counts=None):
+    """A zone reached from the origin by random operations, each checked to
+    return a canonical zone; None when one empties it."""
+    z = Zone.zero(clocks)
+    for _ in range(rng.randint(1, 6)):
+        op = rng.choice(ZONE_OPS)
+        z = random_zone_op(rng, z, op)
+        if z.is_empty():
+            return None
+        assert z.canonicalized().m == z.m, (op, clocks)
+        if counts is not None:
+            counts[op] += 1
+    return z
+
+
+def test_zone_operations_return_canonical_zones():
+    rng = random.Random(606)
+    counts = Counter()
+    for _ in range(400):
+        random_op_zone(rng, tuple(f"c{i}" for i in range(rng.randint(1, 6))), counts)
+        # arbitrary closed bounds, wider than the operations above produce
+        z = random_canonical_zone(rng, rng.randint(1, 6))
+        if z is None:
+            continue
+        for op in ZONE_OPS:
+            out = random_zone_op(rng, z, op)
+            if not out.is_empty():
+                assert out.canonicalized().m == out.m, (op, z.m)
+                counts[op] += 1
+    assert all(counts[op] > 100 for op in ZONE_OPS), counts
+
+
+def lattice(n_clocks: int, top: int):
+    """Valuations with coordinates in [0, top] on the 1/(n+1) lattice: every
+    region with integer bounds up to top holds one of them (fractional parts
+    i/(n+1) realise any order of at most n distinct fractional parts)."""
+    step = Q(1, n_clocks + 1)
+    values = [step * i for i in range(top * (n_clocks + 1) + 1)]
+    return list(itertools.product(values, repeat=n_clocks))
+
+
+def test_includes_agrees_with_points():
+    rng = random.Random(707)
+    included = excluded = sampled = 0
+    for n_clocks in range(1, 7):
+        clocks = tuple(f"c{i}" for i in range(n_clocks))
+        pool = []
+        while len(pool) < 8:
+            z = random_op_zone(rng, clocks)
+            if z is not None:
+                pool.append(z)
+        if n_clocks <= 3:
+            # every lattice point: inclusion of the point sets decides it
+            points = lattice(n_clocks, 4 if n_clocks < 3 else 3)
+        else:
+            # too many lattice points: a random sample checks soundness
+            values = [Q(i, n_clocks + 1) for i in range(3 * (n_clocks + 1) + 1)]
+            points = [tuple(rng.choice(values) for _ in clocks) for _ in range(1500)]
+        members = [
+            frozenset(p for p in points if z.contains_point(dict(zip(clocks, p))))
+            for z in pool
+        ]
+        for a, in_a in zip(pool, members):
+            for b, in_b in zip(pool, members):
+                if a.includes(b):
+                    assert in_b <= in_a
+                    included += 1
+                    sampled += bool(in_b)
+                elif n_clocks <= 3:
+                    assert not in_b <= in_a, (a.m, b.m)
+                    excluded += 1
+    assert included > 100 and excluded > 50 and sampled > 100
 
 
 def test_constants_that_overflow_packed_bounds_are_rejected():
@@ -205,10 +305,13 @@ def test_constants_that_overflow_packed_bounds_are_rejected():
 
 
 def test_zone_budget_raises_resource_error():
+    # a tick self-loop would map the delay-closed initial zone into itself,
+    # so the tick goes through a second location: two zones, one over budget
     loop = make_ta(
-        ("a", "b"), "a", ("b",), ("x",),
+        ("a", "c", "b"), "a", ("b",), ("x",),
         switches=[
-            Switch("a", "tick", atoms(("x", ">=", 1)), frozenset(), "a"),
+            Switch("a", "tick", atoms(("x", ">=", 1)), frozenset(), "c"),
+            Switch("c", "tick", atoms(("x", ">=", 1)), frozenset(), "a"),
             Switch("a", "go", atoms(("x", ">", 5), ("x", "<", 5)), frozenset(), "b"),
         ],
     )
@@ -216,6 +319,21 @@ def test_zone_budget_raises_resource_error():
         zone_reach(loop, budget=1)
     assert synthesis.ResourceError is ResourceError
     assert zone_reach(loop) is None
+
+
+def test_zone_reach_replays_its_witness(monkeypatch):
+    ta = make_ta(("a", "b"), "a", ("b",), ("x",),
+                 switches=[Switch("a", "go", atoms(("x", ">=", 2)), frozenset(), "b")])
+    assert run_to_timed_word(zone_reach(ta)) == (("go", Q(2)),)
+    extract = timed_automata._extract_run
+
+    def early(ta, path):
+        run = extract(ta, path)
+        return Run(tuple((sw, delay - 1) for sw, delay in run.steps))
+
+    monkeypatch.setattr(timed_automata, "_extract_run", early)
+    with pytest.raises(AssertionError, match="guard fails"):
+        zone_reach(ta)
 
 
 class TestCompose:
@@ -287,6 +405,26 @@ class TestZoneReach:
             switches=[Switch("a", "go", atoms(("x", ">=", 3)), frozenset(), "b")],
         )
         assert zone_reach(ta) is None
+        # the invariant of a location entered later bounds the delay there
+        later = make_ta(
+            ("a", "b", "c"), "a", ("c",), ("x",),
+            invariants={"b": atoms(("x", "<=", 2))},
+            switches=[Switch("a", "go", ClockConstraint(), frozenset(), "b"),
+                      Switch("b", "late", atoms(("x", ">=", 3)), frozenset(), "c")],
+        )
+        assert zone_reach(later) is None
+
+    def test_self_loop_with_reset_is_taken(self):
+        # only the reset self-loop separates x from y; a loop without guard
+        # and resets is skipped, this one must not be
+        ta = make_ta(
+            ("a", "b"), "a", ("b",), ("x", "y"),
+            switches=[Switch("a", "tick", ClockConstraint(), frozenset({"x"}), "a"),
+                      Switch("a", "go", atoms(("y", ">=", 2), ("x", "<=", 1)), frozenset(), "b")],
+        )
+        run = zone_reach(ta)
+        assert [sw.label for sw, _ in run.steps] == ["tick", "go"]
+        assert run_to_timed_word(run)[-1] == ("go", Q(2))
 
     def test_epsilon_dropped_from_word(self):
         ta = camera_platform_ta().with_epsilon_loops()
@@ -325,12 +463,16 @@ def test_zone_reach_agrees_with_region_oracle():
     checked = 0
     for _ in range(200):
         ta = random_ta(rng)
-        run = zone_reach(ta)
-        assert (run is not None) == region_reachable(ta), ta_to_json(ta)
-        if run is not None:
-            run.replay_valuations(ta)  # concrete soundness
-            checked += 1
-    assert checked > 40  # the corpus exercises both verdicts
+        reachable = region_reachable(ta)
+        # ε self-loops carry no guard and no reset: the zone search skips
+        # them, which must not change the verdict
+        for automaton in (ta, ta.with_epsilon_loops()):
+            run = zone_reach(automaton)
+            assert (run is not None) == reachable, ta_to_json(automaton)
+            if run is not None:
+                run.replay_valuations(automaton)  # concrete soundness
+                checked += 1
+    assert checked > 80  # the corpus exercises both verdicts
 
 
 class TestSerialization:
