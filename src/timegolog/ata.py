@@ -8,7 +8,6 @@ metric temporal logic formula, the workhorse of verification and synthesis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -461,7 +460,3 @@ def to_dot(ata: Ata) -> str:
     lines.append('  "accept_sink" [shape=doublecircle, label="{}"];')
     lines.append("}")
     return "\n".join(lines)
-
-
-def dump_json(ata: Ata) -> str:
-    return json.dumps(eta_table(ata), indent=2, sort_keys=True)

@@ -7,8 +7,12 @@ and `ata-dump` prints the automaton compiled from a formula.  Exit codes:
 0 for positive verdicts (safe / controller exists / trace found / word
 satisfies), 1 for negative verdicts, 2 for usage or input errors.
 
-Rational constants are accepted everywhere; the instance is scaled to
-natural constants internally and all reported times are scaled back.
+Rational constants are accepted everywhere, and every reported time and
+constant is in the units of the inputs.  For `verify` and `synth`,
+`synthesis.build_problem` scales the theory, the program and the spec to
+natural constants, and its maximal constant also counts the program's
+tests; for `transform`, the platform and the constraints are scaled when
+they are loaded.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 from fnmatch import fnmatchcase
 from fractions import Fraction
 
-from . import __version__, ata, golog, mtl, plantrans, synthesis
+from . import __version__, ata, mtl, plantrans, synthesis
 from .golog import InputError, ModelError
 from .parsing import (
     ground_atom_checker,
@@ -27,7 +31,6 @@ from .parsing import (
     load_program,
     load_ta,
     parse_mtl,
-    parse_static,
     ta_constants,
 )
 from .sexpr import ParseError
@@ -57,39 +60,7 @@ def _formula_arg(text_or_path: str, bat=None):
     return mtl.formula_from_json(json.loads(body))
 
 
-def _bat_scale(bat) -> int:
-    return scale_lcm(list(synthesis._bat_clock_constants(bat)) or [Fraction(1)])
-
-
-def _scale_bat(bat, factor: int):
-    if factor == 1:
-        return bat
-
-    def scale_formula(f):
-        if isinstance(f, golog.SClock):
-            return golog.SClock(f.clock, f.rel, f.const * factor)
-        if isinstance(f, golog.SAnd):
-            return golog.SAnd(tuple(scale_formula(a) for a in f.args))
-        if isinstance(f, golog.SOr):
-            return golog.SOr(tuple(scale_formula(a) for a in f.args))
-        if isinstance(f, golog.SNot):
-            return golog.SNot(scale_formula(f.arg))
-        if isinstance(f, golog.SQuant):
-            return golog.SQuant(f.kind, f.var, f.sort, scale_formula(f.body))
-        return f
-
-    actions = {
-        name: golog.ActionDecl(scale_formula(d.poss), scale_formula(d.guard), d.resets)
-        for name, d in bat.actions.items()
-    }
-    return golog.Bat(
-        sorts=bat.sorts, clocks=bat.clocks, rel_fluents=bat.rel_fluents,
-        fun_fluents=bat.fun_fluents, actions=actions, ssa_rel=bat.ssa_rel,
-        ssa_fun=bat.ssa_fun, initial=bat.initial,
-    )
-
-
-def _trace_json(trace, scale: int):
+def _trace_json(trace, scale: int = 1):
     return [
         {"action": action, "t": format_fraction(Fraction(t) / scale)}
         for action, t in trace
@@ -116,11 +87,7 @@ def cmd_verify(args) -> int:
     bat = load_bat(_read_json(args.bat))
     program = load_program(_read_json(args.program), bat)
     spec = _formula_arg(args.spec, bat)
-    scale = _bat_scale(bat)
-    verdict = synthesis.verify(
-        _scale_bat(bat, scale), program, mtl.scale_intervals(spec, scale),
-        budget=args.budget,
-    )
+    verdict = synthesis.verify(bat, program, spec, budget=args.budget)
     if verdict.safe:
         _emit(args, {"verdict": "safe", "nodes": verdict.nodes},
               f"safe ({verdict.nodes} nodes explored)")
@@ -128,7 +95,7 @@ def cmd_verify(args) -> int:
     payload = {
         "verdict": "unsafe",
         "nodes": verdict.nodes,
-        "counterexample": _trace_json(verdict.counterexample, scale),
+        "counterexample": _trace_json(verdict.counterexample),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 1
@@ -139,12 +106,9 @@ def cmd_synth(args) -> int:
     program = load_program(_read_json(args.program), bat)
     spec = _formula_arg(args.spec, bat)
     controllable = _controllable_predicate(args.controllable)
-    scale = _bat_scale(bat)
-    scaled_bat = _scale_bat(bat, scale)
-    scaled_spec = mtl.scale_intervals(spec, scale)
     extract = bool(args.out or args.dot or args.simulate)
     result, graph, problem = synthesis.check_for_controller(
-        scaled_bat, program, scaled_spec, controllable,
+        bat, program, spec, controllable,
         budget=args.budget, prune=args.prune and not extract,
     )
     info = {"controller": bool(result), "nodes": len(graph.nodes),
@@ -162,10 +126,11 @@ def cmd_synth(args) -> int:
         controller_ta = controller.to_ta()
         if args.out:
             with open(args.out, "w") as handle:
-                json.dump(ta_to_json(controller_ta), handle, indent=2, sort_keys=True)
+                json.dump(ta_to_json(controller_ta, problem.scale), handle,
+                          indent=2, sort_keys=True)
         if args.dot:
             with open(args.dot, "w") as handle:
-                handle.write(ta_to_dot(controller_ta))
+                handle.write(ta_to_dot(controller_ta, problem.scale))
         info["locations"] = len(controller.locations)
         info["edges"] = len(controller.edges)
         info["increment_ties"] = len(controller.tie_warnings)
@@ -192,13 +157,13 @@ def cmd_transform(args) -> int:
     plan = plantrans.plan_from_json(_read_json(args.plan))
     platform_obj = _read_json(args.platform)
     constraints = plantrans.constraints_from_json(_read_json(args.constraints))
-    scale = scale_lcm(list(ta_constants(platform_obj)) or [Fraction(1)])
+    scale = scale_lcm(ta_constants(platform_obj))
     platform = load_ta(platform_obj, scale)
     constraints = plantrans.scale_constraints(constraints, scale)
     if args.dot:
         enc = plantrans.build_encoding(plan, platform, constraints)
         with open(args.dot, "w") as handle:
-            handle.write(ta_to_dot(enc))
+            handle.write(ta_to_dot(enc, scale))
     trace = plantrans.transform_plan(plan, platform, constraints)
     if trace is None:
         _emit(args, {"verdict": "unrealizable"}, "plan not realizable under the constraints")

@@ -137,32 +137,6 @@ class SQuant(Formula):
 STRUE, SFALSE = SAnd(), SOr()
 
 
-def mentions_clocks(phi: Formula) -> bool:
-    if isinstance(phi, SClock):
-        return True
-    if isinstance(phi, (SAnd, SOr)):
-        return any(mentions_clocks(a) for a in phi.args)
-    if isinstance(phi, SNot):
-        return mentions_clocks(phi.arg)
-    if isinstance(phi, SQuant):
-        return mentions_clocks(phi.body)
-    return False
-
-
-def program_tests_mention_clocks(p) -> bool:
-    """Whether any test in the program reads a clock; if not, transitions
-    and finality depend on the fluent state alone."""
-    if isinstance(p, PTest):
-        return mentions_clocks(p.formula)
-    if isinstance(p, (PSeq, PBranch, PPar)):
-        left = p.first if isinstance(p, PSeq) else p.left
-        right = p.second if isinstance(p, PSeq) else p.right
-        return program_tests_mention_clocks(left) or program_tests_mention_clocks(right)
-    if isinstance(p, PStar):
-        return program_tests_mention_clocks(p.body)
-    return False
-
-
 def s_and(args):
     args = tuple(args)
     return args[0] if len(args) == 1 else SAnd(args)
@@ -278,13 +252,13 @@ class Bat:
             if unknown:
                 raise InputError(f"action {action!r} resets undeclared clocks {sorted(unknown)}")
             # time enters only through the clock-constraint clause
-            if mentions_clocks(decl.poss):
+            if clock_atoms(decl.poss):
                 raise InputError(
                     f"precondition of {action!r} mentions clocks; put timing "
                     "conditions into the action's guard clause"
                 )
         for name, ssa in list(self.ssa_rel.items()) + list(self.ssa_fun.items()):
-            if mentions_clocks(ssa.rhs):
+            if clock_atoms(ssa.rhs):
                 raise InputError(
                     f"successor state axiom for {name!r} mentions clocks; "
                     "effects must be time-invariant"
@@ -509,34 +483,18 @@ def regress(bat: Bat, trace: Trace, phi: Formula) -> Formula:
     elapsed time, action steps substitute successor-state right-hand sides
     and resolve clock resets.
     """
-    for _, t in trace:
-        if not isinstance(as_fraction(t), Fraction):
-            raise InputError("regression requires rational traces")
+    try:
+        times = [as_fraction(t) for _, t in trace]
+    except TypeError:
+        raise InputError("regression requires rational traces") from None
     phi = ground(bat, phi)
 
-    # alternating steps: ("time", absolute t, previous ztime) and ("act", name)
-    steps = []
-    prev = Fraction(0)
-    for action, t in trace:
-        t = as_fraction(t)
-        steps.append(("time", t, prev))
-        steps.append(("act", action))
-        prev = t
-
-    def through_time(f, d):
-        if isinstance(f, SClock):
-            const = f.const - d
-            if const < 0:
-                # clocks are non-negative, the comparison is decided
-                return STRUE if f.rel in (">=", ">") else SFALSE
-            return SClock(f.clock, f.rel, const)
-        if isinstance(f, SAnd):
-            return SAnd(tuple(through_time(a, d) for a in f.args))
-        if isinstance(f, SOr):
-            return SOr(tuple(through_time(a, d) for a in f.args))
-        if isinstance(f, SNot):
-            return SNot(through_time(f.arg, d))
-        return f
+    def shifted(atom, d):
+        const = atom.const - d
+        if const < 0:
+            # clocks are non-negative, the comparison is decided
+            return STRUE if atom.rel in (">=", ">") else SFALSE
+        return SClock(atom.clock, atom.rel, const)
 
     def through_action(f, action):
         if isinstance(f, SAtom):
@@ -561,10 +519,7 @@ def regress(bat: Bat, trace: Trace, phi: Formula) -> Formula:
                 env[ACTION_VAR] = Const(action)
                 return ground(bat, ssa.rhs, env)
             return f
-        if isinstance(f, SClock):
-            name = f.clock.name if isinstance(f.clock, Const) else str(f.clock)
-            if name in bat.actions[action].resets:
-                return _const_clock(Fraction(0), f.rel, f.const)
+        if isinstance(f, SClock):  # resets are resolved before
             return f
         if isinstance(f, SAnd):
             return SAnd(tuple(through_action(a, action) for a in f.args))
@@ -574,27 +529,18 @@ def regress(bat: Bat, trace: Trace, phi: Formula) -> Formula:
             return SNot(through_action(f.arg, action))
         raise InputError(f"cannot regress {f!r}")
 
-    def finish(f):
-        # empty trace: clocks read 0
-        if isinstance(f, SClock):
-            return _const_clock(Fraction(0), f.rel, f.const)
-        if isinstance(f, SAnd):
-            return SAnd(tuple(finish(a) for a in f.args))
-        if isinstance(f, SOr):
-            return SOr(tuple(finish(a) for a in f.args))
-        if isinstance(f, SNot):
-            return SNot(finish(f.arg))
-        return f
+    def reset(atom, action):
+        name = atom.clock.name if isinstance(atom.clock, Const) else str(atom.clock)
+        if name in bat.actions[action].resets:
+            return _const_clock(Fraction(0), atom.rel, atom.const)
+        return atom
 
-    while steps:
-        kind = steps[-1][0]
-        if kind == "act":
-            phi = through_action(phi, steps[-1][1])
-        else:
-            _, t, prev = steps[-1]
-            phi = through_time(phi, t - prev)
-        steps.pop()
-    return finish(phi)
+    # backwards through the trace: the action, then the delay before it
+    for (action, _), t, prev in reversed(list(zip(trace, times, [Fraction(0)] + times))):
+        phi = through_action(map_clocks(phi, lambda atom: reset(atom, action)), action)
+        phi = map_clocks(phi, lambda atom: shifted(atom, t - prev))
+    # at the start, clocks read 0
+    return map_clocks(phi, lambda atom: _const_clock(Fraction(0), atom.rel, atom.const))
 
 
 # --- programs --------------------------------------------------------------------
@@ -656,6 +602,40 @@ class PStar(Program):
 
 
 NIL = PTest(STRUE)
+
+
+# --- clock atoms -----------------------------------------------------------------
+
+
+def map_clocks(x, fn):
+    """`x`, a static formula or a program, with every clock atom `c` of the
+    formula, or of the program's tests, replaced by `fn(c)`.  This is the
+    one traversal of clock atoms: readers pass an `fn` that records the
+    atom and returns it unchanged (see `clock_atoms`)."""
+    if isinstance(x, SClock):
+        return fn(x)
+    if isinstance(x, (SAnd, SOr)):
+        return type(x)(tuple(map_clocks(a, fn) for a in x.args))
+    if isinstance(x, SNot):
+        return SNot(map_clocks(x.arg, fn))
+    if isinstance(x, SQuant):
+        return SQuant(x.kind, x.var, x.sort, map_clocks(x.body, fn))
+    if isinstance(x, PTest):
+        return PTest(map_clocks(x.formula, fn))
+    if isinstance(x, PSeq):
+        return PSeq(map_clocks(x.first, fn), map_clocks(x.second, fn))
+    if isinstance(x, (PBranch, PPar)):
+        return type(x)(map_clocks(x.left, fn), map_clocks(x.right, fn))
+    if isinstance(x, PStar):
+        return PStar(map_clocks(x.body, fn))
+    return x
+
+
+def clock_atoms(x) -> list:
+    """The clock atoms of a static formula, or of a program's tests."""
+    found = []
+    map_clocks(x, lambda atom: found.append(atom) or atom)
+    return found
 
 
 def seq(*parts: Program) -> Program:

@@ -39,6 +39,11 @@ class Interval:
             return x < self.hi
         return x <= self.hi
 
+    def scaled(self, factor: int) -> "Interval":
+        """Both endpoints multiplied by a natural factor."""
+        hi = None if self.hi is None else self.hi * factor
+        return Interval(self.lo * factor, hi, self.lo_open, self.hi_open)
+
     def max_finite(self) -> int:
         return self.lo if self.hi is None else max(self.lo, self.hi)
 
@@ -266,11 +271,8 @@ def scale_intervals(phi: MtlFormula, factor: int) -> MtlFormula:
         return And(tuple(scale_intervals(a, factor) for a in phi.args))
     if isinstance(phi, Or):
         return Or(tuple(scale_intervals(a, factor) for a in phi.args))
-    iv = phi.interval
-    scaled = Interval(iv.lo * factor, None if iv.hi is None else iv.hi * factor,
-                      iv.lo_open, iv.hi_open)
-    cls = type(phi)
-    return cls(scale_intervals(phi.lhs, factor), scale_intervals(phi.rhs, factor), scaled)
+    return type(phi)(scale_intervals(phi.lhs, factor), scale_intervals(phi.rhs, factor),
+                     phi.interval.scaled(factor))
 
 
 # --- timed words -------------------------------------------------------------
@@ -394,15 +396,13 @@ def formula_from_json(obj) -> MtlFormula:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"malformed formula JSON: {obj!r}")
     (kind, body), = obj.items()
-    if kind == "atom":
+    if kind == "atom" and isinstance(body, str):
         return Atom(body)
     if kind == "not":
         return Not(formula_from_json(body))
-    if kind == "and":
-        return And(tuple(formula_from_json(a) for a in body))
-    if kind == "or":
-        return Or(tuple(formula_from_json(a) for a in body))
-    if kind in ("until", "dualUntil"):
+    if kind in ("and", "or") and isinstance(body, list):
+        return (And if kind == "and" else Or)(tuple(formula_from_json(a) for a in body))
+    if kind in ("until", "dualUntil") and isinstance(body, dict) and {"lhs", "rhs"} <= set(body):
         cls = Until if kind == "until" else DualUntil
         iv = Interval.from_json(body.get("interval", {}))
         return cls(formula_from_json(body["lhs"]), formula_from_json(body["rhs"]), iv)
@@ -412,4 +412,4 @@ def formula_from_json(obj) -> MtlFormula:
             iv = Interval.from_json(body.get("interval", {}))
             return ctor(formula_from_json(body["arg"]), iv)
         return ctor(formula_from_json(body))
-    raise ValueError(f"unknown formula kind {kind!r}")
+    raise ValueError(f"malformed formula JSON: {obj!r}")

@@ -44,7 +44,7 @@ def _is_number(tok) -> bool:
     try:
         Fraction(tok)
         return True
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         return False
 
 
@@ -267,10 +267,7 @@ def guard_to_constraint(atoms, scale: int = 1) -> ClockConstraint:
     for clock, rel, const in atoms:
         scaled = const * scale
         if scaled.denominator != 1:
-            raise InputError(
-                f"constant {const} is not integral at scale {scale}; "
-                "pre-scale the problem constants"
-            )
+            raise InputError(f"constant {const} is not integral at scale {scale}")
         out.append((clock, rel, int(scaled)))
     return ClockConstraint(tuple(out))
 
@@ -279,29 +276,69 @@ def guard_to_constraint(atoms, scale: int = 1) -> ClockConstraint:
 
 
 def _canonical_name(text: str) -> str:
-    """Accept action/atom names in s-expression or functional rendering."""
+    """Accept action/atom names in s-expression or functional rendering
+    (such as start(drive(m1,m2)), kept as it is)."""
     text = text.strip()
-    if text.startswith("("):
-        return _render_expr(parse(text))
-    if "(" in text:  # already canonical like start(drive(m1,m2))
-        return text
-    return text
+    return _render_expr(parse(text)) if text.startswith("(") else text
 
 
 def _render_expr(expr) -> str:
     if isinstance(expr, str):
         return expr
+    if not isinstance(expr, list) or not expr or not isinstance(expr[0], str):
+        raise InputError(f"malformed name {expr!r}")
     return render(expr[0], [_render_expr(e) for e in expr[1:]])
+
+
+def _check_bat_json(obj) -> None:
+    """Raise InputError unless obj has the shape of a theory JSON."""
+
+    def names(value) -> bool:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+    def entries(value, required, optional, lists) -> bool:
+        """A list of objects with string fields `required`, and `optional`,
+        when present, and name lists `lists`, when present."""
+        return isinstance(value, list) and all(
+            isinstance(e, dict)
+            and all(isinstance(e.get(key), str) for key in required)
+            and all(isinstance(e.get(key, ""), str) for key in optional)
+            and all(names(e.get(key, [])) for key in lists)
+            for e in value
+        )
+
+    init = obj.get("initial", {}) if isinstance(obj, dict) else None
+    ok = (
+        isinstance(init, dict)
+        and isinstance(obj.get("sorts", {}), dict)
+        and all(names(m) for m in obj.get("sorts", {}).values())
+        and names(obj.get("clocks", []))
+        and entries(obj.get("fluents", []), ("name",), ("kind", "range"), ("args",))
+        and entries(obj.get("actions", []), ("name",), ("poss", "guard"), ("resets",))
+        and entries(obj.get("ssa", []), ("fluent", "rhs"), ("value",), ("args",))
+        and names(init.get("true", []))
+        and isinstance(init.get("funcs", {}), dict)
+        and all(isinstance(v, str) for v in init.get("funcs", {}).values())
+    )
+    if not ok:
+        raise InputError(
+            "theory JSON must map sorts to lists of names, list clocks by name, list "
+            "fluents, actions and ssa entries as objects with string names and "
+            "formulas and lists of names, and give the initial true atoms and values"
+        )
 
 
 def load_bat(obj: dict) -> Bat:
     """Theory from its JSON form; formulas are s-expression strings."""
+    _check_bat_json(obj)
     sorts = {name: tuple(members) for name, members in obj.get("sorts", {}).items()}
     clocks = tuple(obj.get("clocks", ()))
     rel_fluents, fun_fluents = {}, {}
     for fl in obj.get("fluents", ()):
         name = fl["name"]
         if fl.get("kind", "relational") == "functional":
+            if "range" not in fl:
+                raise InputError(f"functional fluent {name!r} needs a range")
             fun_fluents[name] = FunFluent(
                 tuple(fl.get("args", ())), fl["range"], bool(fl.get("none", False))
             )
@@ -366,7 +403,11 @@ def load_program(obj, bat: Bat) -> golog.Program:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InputError(f"malformed program JSON: {obj!r}")
     (kind, body), = obj.items()
+    if kind in ("seq", "branch", "par") and not (isinstance(body, list) and body):
+        raise InputError(f'"{kind}" takes a non-empty list of programs')
     if kind == "act":
+        if not isinstance(body, str):
+            raise InputError(f"malformed action name {body!r} in program")
         name = _canonical_name(body)
         if name not in bat.actions:
             raise InputError(f"undeclared action {name!r} in program")

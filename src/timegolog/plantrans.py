@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import mtl
 from .mtl import Atom, Interval, MtlFormula, TimedWord
-from .temporal import ClockConstraint, eval_constraint
+from .temporal import ClockConstraint, Window, eval_constraint
 from .timed_automata import (
     EPSILON,
     Switch,
@@ -479,82 +479,6 @@ def trace_word(plan: Plan, platform: TimedAutomaton, trace: tuple) -> Optional[T
 # observation points before handing the word to the semantics oracle.
 
 
-@dataclass(frozen=True)
-class _Window:
-    """Interval of feasible times; hi=None is unbounded, endpoints may be open."""
-
-    lo: Fraction
-    lo_open: bool = False
-    hi: Optional[Fraction] = None
-    hi_open: bool = False
-
-    @staticmethod
-    def point(t) -> "_Window":
-        return _Window(t, False, t, False)
-
-    def shift(self, iv: Interval) -> "_Window":
-        """Times t with t - s inside iv for some feasible s."""
-        if self.hi is None or iv.hi is None:
-            hi, hi_open = None, False
-        else:
-            hi, hi_open = self.hi + iv.hi, self.hi_open or iv.hi_open
-        return _Window(self.lo + iv.lo, self.lo_open or iv.lo_open, hi, hi_open)
-
-    def back_shift(self, iv: Interval) -> "_Window":
-        """Times s with t - s inside iv for some feasible t."""
-        if self.lo is None or iv.hi is None:
-            lo, lo_open = Fraction(0), False
-        else:
-            lo = self.lo - iv.hi
-            lo_open = self.lo_open or iv.hi_open
-            if lo < 0:
-                lo, lo_open = Fraction(0), False
-        if self.hi is None:
-            return _Window(lo, lo_open, None, False)
-        return _Window(lo, lo_open, self.hi - iv.lo, self.hi_open or iv.lo_open)
-
-    def clamp(self, lo, hi) -> "_Window":
-        """Intersection with the closed interval [lo, hi]."""
-        nlo, nlo_open = self.lo, self.lo_open
-        if lo > nlo:
-            nlo, nlo_open = lo, False
-        nhi, nhi_open = self.hi, self.hi_open
-        if nhi is None or hi < nhi:
-            nhi, nhi_open = hi, False
-        return _Window(nlo, nlo_open, nhi, nhi_open)
-
-    def intersect(self, other: "_Window") -> "_Window":
-        lo, lo_open = max(
-            (self.lo, self.lo_open), (other.lo, other.lo_open),
-            key=lambda p: (p[0], p[1]),
-        )
-        if self.hi is None:
-            hi, hi_open = other.hi, other.hi_open
-        elif other.hi is None:
-            hi, hi_open = self.hi, self.hi_open
-        else:
-            hi, hi_open = min(
-                (self.hi, not self.hi_open), (other.hi, not other.hi_open),
-                key=lambda p: (p[0], -p[1]),
-            )
-            hi_open = not hi_open
-        return _Window(lo, lo_open, hi, hi_open)
-
-    def empty(self) -> bool:
-        if self.hi is None:
-            return False
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
-
-    def earliest(self) -> Fraction:
-        if not self.lo_open:
-            return self.lo
-        if self.hi is None:
-            return self.lo + 1
-        return self.lo + (self.hi - self.lo) / 2
-
-
 def _chain_insertions(entries, plan, chain, platform_names):
     """Observation points restoring the chain's silent stage crossings, or
     None when no consistent crossing times exist for some activation.
@@ -631,7 +555,7 @@ def _chain_insertions(entries, plan, chain, platform_names):
                     return None  # cannot stay in stage j past this piece
             return None
 
-        slots = dfs(p, 0, _Window.point(times[p]))
+        slots = dfs(p, 0, Window.point(times[p]))
         if slots is None:
             return None
 
@@ -639,17 +563,17 @@ def _chain_insertions(entries, plan, chain, platform_names):
         windows = []
         for (m, kind) in slots:
             windows.append(
-                _Window.point(times[m]) if kind == "seam"
-                else _Window(times[m], False, times[m + 1], False)
+                Window.point(times[m]) if kind == "seam"
+                else Window(times[m], False, times[m + 1], False)
             )
-        bound = _Window.point(times[q]).back_shift(intervals[n - 1])
+        bound = Window.point(times[q]).back_shift(intervals[n - 1])
         for j in range(len(slots) - 1, -1, -1):
             bound = windows[j].intersect(bound)
             windows[j] = bound
             bound = bound.back_shift(intervals[j])
         t_prev = times[p]
         for j, ((m, kind), w) in enumerate(zip(slots, windows)):
-            t = _Window.point(t_prev).shift(intervals[j]).intersect(w).earliest()
+            t = Window.point(t_prev).shift(intervals[j]).intersect(w).earliest()
             if kind == "eps":
                 insertions.append((m, t, locs[m]))
             t_prev = t
@@ -779,16 +703,11 @@ def constraints_to_json(cs: ConstraintSet) -> dict:
 def scale_constraints(cs: ConstraintSet, factor: int) -> ConstraintSet:
     if factor == 1:
         return cs
-
-    def scale_iv(iv: Interval) -> Interval:
-        return Interval(iv.lo * factor, None if iv.hi is None else iv.hi * factor,
-                        iv.lo_open, iv.hi_open)
-
     return ConstraintSet(
-        tuple(Abs(c.i, scale_iv(c.interval)) for c in cs.abs),
-        tuple(Rel(c.i, c.j, scale_iv(c.interval)) for c in cs.rel),
+        tuple(Abs(c.i, c.interval.scaled(factor)) for c in cs.abs),
+        tuple(Rel(c.i, c.j, c.interval.scaled(factor)) for c in cs.rel),
         tuple(
-            Chain(tuple((b, scale_iv(iv)) for b, iv in c.stages), c.alpha1, c.alpha2)
+            Chain(tuple((b, iv.scaled(factor)) for b, iv in c.stages), c.alpha1, c.alpha2)
             for c in cs.chain
         ),
     )

@@ -12,7 +12,7 @@ safety game on the graph decides whether a controller exists and yields one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -28,6 +28,7 @@ from .temporal import (
     mono_dom_leq,
     powerset_leq,
     region_delays,
+    scale_lcm,
     time_successors,  # noqa: F401  (re-exported: `synthesis.time_successors` stays importable)
 )
 
@@ -48,6 +49,7 @@ class Problem:
     spec: MtlFormula  # positive normal form
     ata: Ata
     k: int
+    scale: int = 1  # the inputs' clock constants were multiplied by it
 
     def __post_init__(self):
         self._progress_cache = {}
@@ -57,7 +59,7 @@ class Problem:
         self._poss_cache = {}
         # when no test reads a clock, transitions and finality are functions
         # of the fluent state alone and the caches can ignore the valuation
-        self._clocked_tests = golog.program_tests_mention_clocks(self.program)
+        self._clocked_tests = bool(golog.clock_atoms(self.program))
 
     # fluent progression is time-invariant: cache per fluent state
     def progress_fluents(self, state: WorldState, action: str) -> WorldState:
@@ -111,34 +113,41 @@ class Problem:
         return hit
 
 
-def _bat_clock_constants(bat: Bat):
-    def walk(f):
-        if isinstance(f, golog.SClock):
-            yield f.const
-        elif isinstance(f, (golog.SAnd, golog.SOr)):
-            for a in f.args:
-                yield from walk(a)
-        elif isinstance(f, golog.SNot):
-            yield from walk(f.arg)
-        elif isinstance(f, golog.SQuant):
-            yield from walk(f.body)
-
-    for decl in bat.actions.values():
-        yield from walk(decl.poss)
-        yield from walk(decl.guard)
-
-
 def build_problem(bat: Bat, program: Program, spec: MtlFormula) -> Problem:
-    """Normalize the inputs and fix the maximal constant; clock constants
-    must already be naturals (pre-scale rational instances and divide the
-    reported times by the factor)."""
-    consts = list(_bat_clock_constants(bat))
-    if any(c.denominator != 1 for c in consts):
-        raise golog.InputError("clock constants must be naturals; pre-scale the problem")
+    """Normalize the inputs, scale them to natural constants and fix the
+    maximal constant k.
+
+    Clock constants may be rationals.  The theory, the program and the spec
+    are multiplied by the lcm of the denominators of the constants in the
+    action guards and the program tests, kept as `Problem.scale`; search
+    times are then in units of 1/scale.  k bounds every clock comparison the
+    scaled problem makes (guards, program tests and spec intervals), as the
+    region abstraction is exact only up to it."""
+    atoms = [a for decl in bat.actions.values() for a in golog.clock_atoms(decl.guard)]
+    atoms += golog.clock_atoms(program)
+    scale = scale_lcm(a.const for a in atoms)
+    if scale != 1:
+        def scaled(x):
+            return golog.map_clocks(
+                x, lambda a: golog.SClock(a.clock, a.rel, a.const * scale)
+            )
+
+        bat = replace(
+            bat,
+            actions={
+                name: replace(decl, guard=scaled(decl.guard))
+                for name, decl in bat.actions.items()
+            },
+            initial=bat.initial.with_clocks(
+                {c: v * scale for c, v in bat.initial.clocks}
+            ),
+        )
+        program = scaled(program)
+        spec = mtl.scale_intervals(spec, scale)
     pnf = mtl.to_pnf(spec)
     automaton = ata_from_mtl(pnf)
-    k = max(1, mtl.max_constant(pnf), max((int(c) for c in consts), default=0))
-    return Problem(bat, normalize(program), pnf, automaton, k)
+    k = max(1, mtl.max_constant(pnf), *(int(a.const * scale) for a in atoms))
+    return Problem(bat, normalize(program), pnf, automaton, k, scale)
 
 
 # --- determinized product states -----------------------------------------------
@@ -605,7 +614,9 @@ def check_for_controller(
     prune: bool = False,
 ):
     """Whether a controller avoiding the undesired behavior exists; returns
-    (verdict, labeled graph, problem) so a controller can be extracted."""
+    (verdict, labeled graph, problem) so a controller can be extracted.  The
+    problem's clock constants, and so the controller's guards, are those of
+    the inputs multiplied by `problem.scale`."""
     problem = build_problem(bat, program, spec)
     graph = build_graph(
         problem, budget=budget,
@@ -657,13 +668,15 @@ def path_to(graph: SearchGraph, nid: int) -> list:
 
 def verify(bat: Bat, program: Program, spec: MtlFormula, budget: Optional[int] = None) -> Verdict:
     """Safe iff no finite completed execution satisfies the specification;
-    Unsafe verdicts carry a concrete rational counterexample trace."""
+    unsafe verdicts carry a concrete rational counterexample trace, in the
+    units of the inputs."""
     problem = build_problem(bat, program, spec)
     graph = build_graph(problem, budget=budget, stop_on_bad=True)
     bad = graph.bad_nodes()
     if not bad:
         return Verdict(safe=True, nodes=len(graph.nodes))
     trace = replay_path(problem, path_to(graph, bad[0].nid))
+    trace = tuple((action, t / problem.scale) for action, t in trace)
     return Verdict(safe=False, counterexample=trace, nodes=len(graph.nodes))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 Q = Fraction
 
@@ -58,7 +58,9 @@ def compare(value: Fraction, rel: str, const: Fraction) -> bool:
 class ClockConstraint:
     """Conjunction of atoms ``clock rel constant``; the empty conjunction is true.
 
-    Constants are naturals; rational inputs must be pre-scaled (see `scale_lcm`).
+    Constants are naturals.  Rational inputs are scaled by `scale_lcm` of
+    their constants where they enter: in `synthesis.build_problem` for
+    verification and synthesis, at load time for plan transformation.
     """
 
     atoms: tuple[tuple[str, str, int], ...] = ()
@@ -79,11 +81,6 @@ class ClockConstraint:
     def conjoin(self, other: "ClockConstraint") -> "ClockConstraint":
         return ClockConstraint(self.atoms + other.atoms)
 
-    def rename(self, mapping: Mapping[str, str]) -> "ClockConstraint":
-        return ClockConstraint(
-            tuple((mapping.get(c, c), rel, k) for c, rel, k in self.atoms)
-        )
-
     def __str__(self) -> str:
         if not self.atoms:
             return "true"
@@ -91,6 +88,68 @@ class ClockConstraint:
 
 
 TRUE_CONSTRAINT = ClockConstraint()
+
+
+class Window(NamedTuple):
+    """Exact interval of times or delays; hi=None is unbounded, and either
+    endpoint may be open.  Shifts take any interval with the same four
+    fields (such as `mtl.Interval`)."""
+
+    lo: Fraction
+    lo_open: bool = False
+    hi: Optional[Fraction] = None
+    hi_open: bool = False
+
+    @staticmethod
+    def point(t) -> "Window":
+        return Window(t, False, t, False)
+
+    def shift(self, iv) -> "Window":
+        """Times t with t - s inside iv for some s in the window."""
+        if self.hi is None or iv.hi is None:
+            hi, hi_open = None, False
+        else:
+            hi, hi_open = self.hi + iv.hi, self.hi_open or iv.hi_open
+        return Window(self.lo + iv.lo, self.lo_open or iv.lo_open, hi, hi_open)
+
+    def back_shift(self, iv) -> "Window":
+        """Times s >= 0 with t - s inside iv for some t in the window."""
+        lo, lo_open = Fraction(0), False
+        if iv.hi is not None and self.lo - iv.hi >= 0:
+            lo, lo_open = self.lo - iv.hi, self.lo_open or iv.hi_open
+        if self.hi is None:
+            return Window(lo, lo_open, None, False)
+        return Window(lo, lo_open, self.hi - iv.lo, self.hi_open or iv.lo_open)
+
+    def clamp(self, lo, hi) -> "Window":
+        """Intersection with the closed interval [lo, hi]."""
+        return self.intersect(Window(lo, False, hi, False))
+
+    def intersect(self, other: "Window") -> "Window":
+        lo, lo_open = max((self.lo, self.lo_open), (other.lo, other.lo_open))
+        if self.hi is None:
+            hi, hi_open = other.hi, other.hi_open
+        elif other.hi is None:
+            hi, hi_open = self.hi, self.hi_open
+        else:
+            # the smaller bound; at equal bounds, the open one
+            hi, closed = min((self.hi, not self.hi_open), (other.hi, not other.hi_open))
+            hi_open = not closed
+        return Window(lo, lo_open, hi, hi_open)
+
+    def empty(self) -> bool:
+        if self.hi is None:
+            return False
+        return self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open))
+
+    def earliest(self) -> Fraction:
+        """The infimum when it is attained, otherwise a canonical interior
+        point."""
+        if not self.lo_open:
+            return self.lo
+        if self.hi is None:
+            return self.lo + 1
+        return self.lo + (self.hi - self.lo) / 2
 
 
 def eval_constraint(valuation: Mapping[str, Fraction], g: ClockConstraint) -> bool:

@@ -1,7 +1,8 @@
 """Timed automata, parallel composition, and zone-based reachability.
 
 Zones are difference bound matrices over the declared clocks plus the zero
-reference; all bounds are integers (inputs must be pre-scaled), emptiness
+reference; all bounds are integers (rational inputs are scaled when they
+are loaded, and `ta_to_json` and `ta_to_dot` divide by the scale), emptiness
 and inclusion are decided on the canonical form.  The reachability search
 stores delay-closed zones and returns a concrete run: a switch sequence
 with exact rational delays chosen inside the feasible zone chain, replayed
@@ -27,7 +28,14 @@ from fractions import Fraction
 from operator import le
 from typing import Hashable, Iterable, Optional
 
-from .temporal import ClockConstraint, ResourceError, TRUE_CONSTRAINT, eval_constraint
+from .temporal import (
+    ClockConstraint,
+    ResourceError,
+    TRUE_CONSTRAINT,
+    Window,
+    eval_constraint,
+    format_fraction,
+)
 
 EPSILON = "ε"
 
@@ -254,9 +262,8 @@ class Zone:
                 return False
         return True
 
-    def delay_interval(self, valuation: dict):
-        """Feasible delays d with valuation+d inside the zone, as
-        (lo, lo_strict, hi, hi_strict) with hi possibly None; None if empty."""
+    def delay_interval(self, valuation: dict) -> Optional[Window]:
+        """Feasible delays d with valuation+d inside the zone; None if empty."""
         lo, lo_strict = Fraction(0), False
         hi, hi_strict = None, False
         vals = [Fraction(0)] + [valuation[c] for c in self.clocks]
@@ -275,25 +282,11 @@ class Zone:
                 diff = vals[i] - vals[j]
                 if (diff >= v) if strict else (diff > v):
                     return None
-        if lo < 0:
-            lo, lo_strict = Fraction(0), False
-        if hi is not None and (hi < lo or (hi == lo and (lo_strict or hi_strict))):
-            return None
-        return (lo, lo_strict, hi, hi_strict)
+        window = Window(lo, lo_strict, hi, hi_strict)
+        return None if window.empty() else window
 
     def key(self):
         return tuple(self.m)
-
-
-def pick_delay(interval) -> Fraction:
-    """Deterministic delay inside a feasible interval: the infimum when it is
-    attained, otherwise a canonical interior point."""
-    lo, lo_strict, hi, hi_strict = interval
-    if not lo_strict:
-        return lo
-    if hi is None:
-        return lo + 1
-    return lo + (hi - lo) / 2
 
 
 # --- the automaton ---------------------------------------------------------------
@@ -546,7 +539,7 @@ def _extract_run(ta: TimedAutomaton, path: list) -> Run:
         interval = post[i].delay_interval(valuation)
         if interval is None:
             raise AssertionError("no feasible delay on replay")
-        d = pick_delay(interval)
+        d = interval.earliest()
         delays.append(d)
         valuation = {c: v + d for c, v in valuation.items()}
         valuation = {c: (Fraction(0) if c in sw.resets else v) for c, v in valuation.items()}
@@ -562,21 +555,28 @@ def loc_str(loc) -> str:
     return str(loc)
 
 
-def constraint_to_sexpr(g: ClockConstraint) -> str:
+def _atom_texts(g: ClockConstraint, scale: int) -> list:
+    """(clock, rel, constant text) per atom, the constant divided by scale."""
+    return [(c, rel, format_fraction(Fraction(k, scale))) for c, rel, k in g.atoms]
+
+
+def constraint_to_sexpr(g: ClockConstraint, scale: int = 1) -> str:
     if not g.atoms:
         return "true"
-    parts = [f"({rel} {clock} {const})" for clock, rel, const in g.atoms]
+    parts = [f"({rel} {clock} {const})" for clock, rel, const in _atom_texts(g, scale)]
     return parts[0] if len(parts) == 1 else "(and " + " ".join(parts) + ")"
 
 
-def ta_to_json(ta: TimedAutomaton) -> dict:
+def ta_to_json(ta: TimedAutomaton, scale: int = 1) -> dict:
+    """JSON form of the automaton; constants are divided by `scale`, the
+    factor the automaton's inputs were multiplied by."""
     return {
         "locations": [loc_str(l) for l in ta.locations],
         "initial": loc_str(ta.initial),
         "finals": sorted(loc_str(l) for l in ta.finals),
         "clocks": list(ta.clocks),
         "invariants": {
-            loc_str(l): constraint_to_sexpr(inv) for l, inv in sorted(
+            loc_str(l): constraint_to_sexpr(inv, scale) for l, inv in sorted(
                 ta.invariants.items(), key=lambda kv: loc_str(kv[0])
             )
         },
@@ -584,7 +584,7 @@ def ta_to_json(ta: TimedAutomaton) -> dict:
             {
                 "src": loc_str(sw.src),
                 "label": sw.label,
-                "guard": constraint_to_sexpr(sw.guard),
+                "guard": constraint_to_sexpr(sw.guard, scale),
                 "resets": sorted(sw.resets),
                 "dst": loc_str(sw.dst),
             }
@@ -593,20 +593,24 @@ def ta_to_json(ta: TimedAutomaton) -> dict:
     }
 
 
-def ta_to_dot(ta: TimedAutomaton) -> str:
+def ta_to_dot(ta: TimedAutomaton, scale: int = 1) -> str:
+    """DOT drawing of the automaton; constants are divided by `scale`."""
+    def text(g: ClockConstraint) -> str:
+        return " & ".join(f"{c} {rel} {k}" for c, rel, k in _atom_texts(g, scale)) or "true"
+
     lines = ["digraph ta {", "  rankdir=LR;"]
     for loc in ta.locations:
         name = loc_str(loc)
         shape = "doublecircle" if loc in ta.finals else "circle"
         inv = ta.invariants.get(loc)
-        label = name if inv is None else f"{name}\\n{inv}"
+        label = name if inv is None else f"{name}\\n{text(inv)}"
         lines.append(f'  "{name}" [shape={shape}, label="{label}"];')
     lines.append(f'  "__init" [shape=point];')
     lines.append(f'  "__init" -> "{loc_str(ta.initial)}";')
     for sw in ta.switches:
         parts = [sw.label]
         if sw.guard.atoms:
-            parts.append(str(sw.guard))
+            parts.append(text(sw.guard))
         if sw.resets:
             parts.append(", ".join(f"{c}:=0" for c in sorted(sw.resets)))
         label = " / ".join(parts)

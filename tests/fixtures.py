@@ -249,3 +249,24 @@ def camera_platform_ta():
 
 def load_camera_bat_json() -> dict:
     return json.loads((DATA / "camera_bat.json").read_text())
+
+
+def toggle_bat_json(guard: str = "(>= c0 1)") -> dict:
+    """One atom p0: set_p0 makes it true and resets c0, clear_p0 makes it
+    false under the clock guard."""
+    return {
+        "sorts": {},
+        "clocks": ["c0"],
+        "fluents": [{"name": "p0", "args": []}],
+        "actions": [
+            {"name": "set_p0", "resets": ["c0"]},
+            {"name": "clear_p0", "guard": guard},
+        ],
+        "ssa": [{"fluent": "p0", "rhs": "(or (= a set_p0) (and p0 (not (= a clear_p0))))"}],
+        "initial": {"true": []},
+    }
+
+
+def set_test_clear(test: str) -> dict:
+    """set_p0, then the test, then clear_p0."""
+    return {"seq": [{"act": "set_p0"}, {"test": test}, {"act": "clear_p0"}]}

@@ -46,6 +46,23 @@ def enumerate_completed_traces(bat, program, k, max_actions):
     return results
 
 
+def is_execution(bat, program, trace) -> bool:
+    """Whether a timed trace is a completed execution of the program: each
+    action is an enabled step of some residual program at its time, and the
+    program may stop after the last one."""
+    state, now, programs = bat.initial, Fraction(0), {program}
+    for action, t in trace:
+        advanced = state.advanced(Fraction(t) - now)
+        programs = {
+            rest for prog in programs
+            for a, rest in golog.enabled_steps(bat, advanced, prog) if a == action
+        }
+        if not programs:
+            return False
+        state, now = golog.progress(bat, advanced, action), Fraction(t)
+    return any(golog.is_final(bat, state, prog) for prog in programs)
+
+
 def region_reachable(ta) -> bool:
     """Explicit search over (location, region-representative valuation)
     states; decides whether any final location is reachable."""

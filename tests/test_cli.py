@@ -1,16 +1,23 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from timegolog import plantrans, timed_automata
+from timegolog import mtl, plantrans, synthesis, timed_automata
 from timegolog.cli import main, parse_formula_text
 from timegolog.golog import InputError
 from timegolog.mtl import Atom, And, Interval, Not, TRUE, Until, finally_
-from timegolog.parsing import load_bat
+from timegolog.parsing import load_bat, load_program, parse_guard_atoms, parse_mtl
 from timegolog.timed_automata import ta_to_json
 
-from fixtures import camera_platform_ta, load_camera_bat_json
+from fixtures import (
+    camera_platform_ta,
+    load_camera_bat_json,
+    set_test_clear,
+    toggle_bat_json,
+)
+from oracles import is_execution
 
 DATA = Path(__file__).parent / "data"
 
@@ -174,6 +181,51 @@ class TestVerify:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("const", ["3", "3/2"])
+    def test_clocked_program_test_above_the_guards(self, tmp_path, capsys, const):
+        spec = "(finally (and p0 (finally (not p0))))"
+        bat_obj, prog_obj = toggle_bat_json(), set_test_clear(f"(> c0 {const})")
+        (tmp_path / "bat.json").write_text(json.dumps(bat_obj))
+        (tmp_path / "prog.json").write_text(json.dumps(prog_obj))
+        code = main(["verify", "--bat", str(tmp_path / "bat.json"),
+                     "--program", str(tmp_path / "prog.json"), "--spec", spec])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "unsafe"
+        trace = tuple((e["action"], Fraction(e["t"])) for e in payload["counterexample"])
+        bat = load_bat(bat_obj)
+        assert is_execution(bat, load_program(prog_obj, bat), trace)
+        assert mtl.satisfies(synthesis.trace_to_word(bat, trace), 0, parse_mtl(spec))
+
+    @pytest.mark.parametrize("command", ["verify", "synth"])
+    @pytest.mark.parametrize("bat_obj,prog_obj,spec_obj", [
+        ([], {"act": "set_p0"}, None),
+        ({"actions": [{"name": 3}]}, {"act": "set_p0"}, None),
+        ({**toggle_bat_json(), "actions": [{"name": "()"}]}, {"act": "set_p0"}, None),
+        (toggle_bat_json("(>= c0 1/0)"), {"act": "set_p0"}, None),
+        (toggle_bat_json(), {"seq": [{"act": 3}]}, None),
+        (toggle_bat_json(), {"seq": []}, None),
+        (toggle_bat_json(), {"test": 3}, None),
+        (toggle_bat_json(), {"act": "set_p0"}, {"and": 3}),
+        (toggle_bat_json(), {"act": "set_p0"}, {"until": []}),
+    ])
+    def test_malformed_input_is_usage_error(self, tmp_path, capsys, command,
+                                            bat_obj, prog_obj, spec_obj):
+        (tmp_path / "bat.json").write_text(json.dumps(bat_obj))
+        (tmp_path / "prog.json").write_text(json.dumps(prog_obj))
+        spec = "(finally p0)"
+        if spec_obj is not None:
+            spec = str(tmp_path / "spec.json")
+            Path(spec).write_text(json.dumps(spec_obj))
+        argv = [command, "--bat", str(tmp_path / "bat.json"),
+                "--program", str(tmp_path / "prog.json"), "--spec", spec]
+        if command == "synth":
+            argv += ["--controllable", "set*"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSynth:
     def test_camera_controller_exists(self, camera_files, tmp_path, capsys):
         out = tmp_path / "ctrl.json"
@@ -192,6 +244,40 @@ class TestSynth:
         again = load_ta(emitted)
         assert ta_to_json(again) == emitted  # round-trip
         assert dot.read_text().startswith("digraph")
+
+    def test_outputs_in_the_units_of_the_inputs(self, tmp_path, capsys):
+        bat_obj = load_camera_bat_json()
+        for action in bat_obj["actions"]:
+            if action["name"] == "(end bootCamera)":
+                action["guard"] = "(= c_boot 1/2)"
+        (tmp_path / "bat.json").write_text(json.dumps(bat_obj))
+        (tmp_path / "prog.json").write_text(json.dumps(CAMERA_PROGRAM))
+        out, dot = tmp_path / "ctrl.json", tmp_path / "ctrl.dot"
+        code = main([
+            "synth", "--bat", str(tmp_path / "bat.json"),
+            "--program", str(tmp_path / "prog.json"), "--spec", CAMERA_SPEC_TEXT,
+            "--controllable", "start(*", "--out", str(out), "--dot", str(dot),
+        ])
+        assert code == 0
+        bat = load_bat(bat_obj)
+        controllable = lambda action: action.startswith("start(")
+        result, graph, problem = synthesis.check_for_controller(
+            bat, load_program(CAMERA_PROGRAM, bat),
+            parse_formula_text(CAMERA_SPEC_TEXT, bat), controllable,
+        )
+        assert result and problem.scale == 2
+        internal = synthesis.extract_controller(problem, graph, controllable).to_ta()
+        expected = sorted((sw.src, sw.label, sw.dst, sw.guard.atoms)
+                          for sw in internal.switches)
+        written = sorted(
+            (sw["src"], sw["label"], sw["dst"], tuple(
+                (clock, rel, const * problem.scale)
+                for clock, rel, const in parse_guard_atoms(sw["guard"])
+            ))
+            for sw in json.loads(out.read_text())["switches"]
+        )
+        assert written == expected
+        assert "c_boot = 1/2" in dot.read_text()
 
     def test_impossible_spec_exits_one(self, camera_files, tmp_path, capsys):
         prog = tmp_path / "prog.json"
@@ -270,16 +356,22 @@ class TestTransform:
                 sw["guard"] = "(and (>= x_cam 7/2) (<= x_cam 6))"
         platform = tmp_path / "scaled_platform.json"
         platform.write_text(json.dumps(platform_obj))
+        dot = tmp_path / "enc.dot"
         code = main([
             "transform", "--plan", transform_files["plan"],
             "--platform", str(platform),
-            "--constraints", transform_files["constraints"],
+            "--constraints", transform_files["constraints"], "--dot", str(dot),
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        # reported times are in the original unit
+        # reported times and drawn constants are in the inputs' units; scaled
+        # by 2 internally, they would read doubled
         times = {e["action"]: e["t"] for e in payload["trace"]}
-        assert times["end(goto(l1))"] in ("30", "45") or True
+        assert times["end(goto(l1))"] == "30"
+        assert (times["start(bootCamera)"], times["end(bootCamera)"]) == ("26", "30")
+        boot = Fraction(times["end(bootCamera)"]) - Fraction(times["start(bootCamera)"])
+        assert Fraction(7, 2) <= boot <= 6
+        assert "x_cam >= 7/2 & x_cam <= 6" in dot.read_text()
 
     def run_transform(self, transform_files, **overrides):
         files = {**transform_files, **overrides}

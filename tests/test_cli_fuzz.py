@@ -1,5 +1,6 @@
-"""Fuzzing the `transform` command with random plan, constraint and platform
-JSON, well-formed and malformed.  Whatever it reads, the command ends with a
+"""Fuzzing the `transform`, `verify` and `synth` commands with random input
+files, well-formed and malformed: plans, constraints and platforms, or
+theories, programs and specs.  Whatever it reads, a command ends with a
 verdict (exit 0 or 1) or a one-line error (exit 2), never a traceback."""
 
 import contextlib
@@ -11,6 +12,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timegolog import mtl
 from timegolog.cli import main
 
 ACTIONS = ("start(a)", "end(a)", "start(b)", "end(b)", "go")
@@ -114,30 +116,33 @@ def mutate(draw, doc):
         return doc
 
 
-@st.composite
-def inputs(draw):
-    """Text of the three input files: all well-formed, or one of them broken
-    by a mutation, replaced by arbitrary JSON, or not JSON at all."""
-    docs = draw(problems())
+def broken(draw, docs: dict) -> dict:
+    """Text of the input files: all well-formed, or one of them broken by a
+    mutation, replaced by arbitrary JSON, or not JSON at all."""
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
-    broken = draw(st.sampled_from((None,) + tuple(docs)))
+    name = draw(st.sampled_from((None,) + tuple(docs)))
     how = draw(st.sampled_from(("mutate", "json", "text")))
-    if broken is None:
+    if name is None:
         pass
     elif how == "mutate":
-        texts[broken] = json.dumps(mutate(draw, docs[broken]))
+        texts[name] = json.dumps(mutate(draw, docs[name]))
     elif how == "json":
-        texts[broken] = json.dumps(draw(json_values))
+        texts[name] = json.dumps(draw(json_values))
     else:
-        texts[broken] = draw(st.text(max_size=12))
+        texts[name] = draw(st.text(max_size=12))
     return texts
 
 
-@settings(max_examples=300)
-@given(inputs())
-def test_transform_ends_in_a_verdict_or_a_one_line_error(texts):
+@st.composite
+def inputs(draw):
+    return broken(draw, draw(problems()))
+
+
+def run(argv: list, texts: dict):
+    """Run the command on the texts as files; it must end in a verdict or a
+    one-line error."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["transform"]
+        argv = list(argv)
         for name, text in texts.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(text)
@@ -149,3 +154,78 @@ def test_transform_ends_in_a_verdict_or_a_one_line_error(texts):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=300)
+@given(inputs())
+def test_transform_ends_in_a_verdict_or_a_one_line_error(texts):
+    run(["transform"], texts)
+
+
+# --- verify and synth: a toggle theory, a program over its actions, a spec ---------
+
+clock_formulas = guards.map(lambda g: g.replace("x", "c0").replace("y", "c1"))
+
+
+@st.composite
+def theories(draw):
+    """Atoms p0..p{n-1}; set_pi makes pi true and resets ci, clear_pi makes
+    it false under a random clock guard."""
+    atoms = [f"p{i}" for i in range(draw(st.integers(1, 2)))]
+    actions, ssa = [], []
+    for atom in atoms:
+        actions += [{"name": f"set_{atom}", "resets": [f"c{atom[1]}"]},
+                    {"name": f"clear_{atom}", "guard": draw(clock_formulas)}]
+        ssa.append({"fluent": atom,
+                    "rhs": f"(or (= a set_{atom}) (and {atom} (not (= a clear_{atom}))))"})
+    return {
+        "sorts": {}, "clocks": ["c0", "c1"],
+        "fluents": [{"name": a, "args": []} for a in atoms],
+        "actions": actions, "ssa": ssa,
+        "initial": {"true": draw(st.lists(st.sampled_from(atoms), unique=True))},
+    }
+
+
+def programs(actions: list):
+    leaves = st.sampled_from(actions).map(lambda a: {"act": a}) | st.builds(
+        lambda f: {"test": f}, clock_formulas | st.sampled_from(("p0", "(not p0)")))
+    return st.recursive(leaves, lambda inner: (
+        st.builds(lambda kind, parts: {kind: parts},
+                  st.sampled_from(("seq", "branch", "par")), st.lists(inner, min_size=1, max_size=3))
+        | inner.map(lambda p: {"star": p})
+    ), max_leaves=4)
+
+
+def specs(atoms: list):
+    atom = st.sampled_from(atoms).map(mtl.Atom)
+    interval = st.builds(lambda lo, width: mtl.Interval(lo, None if width is None else lo + width),
+                         st.integers(0, 2), st.none() | st.integers(0, 2))
+    return st.recursive(atom | atom.map(mtl.Not), lambda inner: (
+        st.builds(mtl.finally_, inner, interval) | st.builds(mtl.globally, inner, interval)
+        | st.builds(mtl.Until, inner, inner, interval)
+        | st.builds(lambda a, b: mtl.And((a, b)), inner, inner)
+    ), max_leaves=3)
+
+
+@st.composite
+def verify_inputs(draw):
+    bat = draw(theories())
+    atoms = [f["name"] for f in bat["fluents"]]
+    docs = {
+        "bat": bat,
+        "program": draw(programs([a["name"] for a in bat["actions"]])),
+        "spec": mtl.formula_to_json(draw(specs(atoms))),
+    }
+    return broken(draw, docs)
+
+
+@settings(max_examples=150)
+@given(verify_inputs())
+def test_verify_ends_in_a_verdict_or_a_one_line_error(texts):
+    run(["verify", "--budget", "150"], texts)
+
+
+@settings(max_examples=100)
+@given(verify_inputs())
+def test_synth_ends_in_a_verdict_or_a_one_line_error(texts):
+    run(["synth", "--budget", "150", "--controllable", "set_*", "--simulate", "2"], texts)

@@ -41,8 +41,16 @@ from timegolog.synthesis import (
     verify,
 )
 
-from fixtures import build_camera_bat, camera_program, camera_spec
-from oracles import enumerate_completed_traces
+from timegolog.parsing import load_bat, load_program, parse_mtl
+
+from fixtures import (
+    build_camera_bat,
+    camera_program,
+    camera_spec,
+    set_test_clear,
+    toggle_bat_json,
+)
+from oracles import enumerate_completed_traces, is_execution
 
 
 def tiny_bat(n_atoms=2, clocked=False):
@@ -193,6 +201,69 @@ class TestVerify:
         bat = build_camera_bat()
         with pytest.raises(ResourceError):
             verify(bat, camera_program(), camera_spec(), budget=3)
+
+
+SET_THEN_CLEAR = "(finally (and p0 (finally (not p0))))"
+
+
+class TestClockedProgramTests:
+    """Program tests that compare a clock with a constant above every guard
+    constant: the constant counts in the maximal constant and in the scale,
+    so the tests are decided exactly."""
+
+    @pytest.mark.parametrize("const", ["3", "3/2"])
+    def test_test_above_the_guards_is_unsafe(self, const):
+        bat = load_bat(toggle_bat_json())
+        prog = load_program(set_test_clear(f"(> c0 {const})"), bat)
+        spec = parse_mtl(SET_THEN_CLEAR)
+        verdict = verify(bat, prog, spec)
+        assert not verdict.safe
+        trace = verdict.counterexample
+        assert is_execution(bat, prog, trace)
+        assert mtl.satisfies(trace_to_word(bat, trace), 0, spec)
+        assert trace[-1][1] > Q(const)  # in the units of the inputs
+
+    def test_scale_and_maximal_constant(self):
+        bat = load_bat(toggle_bat_json())
+        prog = load_program(set_test_clear("(> c0 3/2)"), bat)
+        problem = build_problem(bat, prog, parse_mtl("(finally p0 [0,1])"))
+        # guard 1, test 3/2 and spec bound 1, all doubled
+        assert problem.scale == 2
+        assert problem.k == 3
+        assert problem.bat.actions["clear_p0"].guard == golog.SClock(
+            golog.Const("c0"), ">=", Q(2)
+        )
+
+    def test_verdicts_match_brute_force(self):
+        k = 3  # the largest constant of the guard, the tests and the specs
+        bat = load_bat(toggle_bat_json())
+        tests = ["(> c0 3)", "(< c0 2)", "(= c0 2)", "(>= c0 3)",
+                 "(and (> c0 2) (< c0 3))", "(not (<= c0 2))"]
+        specs = [parse_mtl(text) for text in (
+            SET_THEN_CLEAR,
+            "(finally (and p0 (finally (not p0) [0,2])))",
+            "(finally (and p0 (finally (not p0) (2,3))))",
+            "(finally (not p0) [3,3])",
+        )]
+        programs = []
+        for test in tests:
+            programs.append(set_test_clear(test))
+            programs.append({"seq": [{"act": "set_p0"}, {"act": "clear_p0"}, {"test": test}]})
+            programs.append({"seq": [{"test": test}, {"act": "set_p0"}, {"act": "clear_p0"}]})
+        checked = 0
+        for obj in programs:
+            prog = load_program(obj, bat)
+            traces = enumerate_completed_traces(bat, prog, k, max_actions=3)
+            for spec in specs:
+                verdict = verify(bat, prog, spec)
+                oracle_unsafe = any(
+                    mtl.satisfies(trace_to_word(bat, tr), 0, spec) for tr in traces
+                )
+                assert verdict.safe == (not oracle_unsafe), (obj, str(spec))
+                if not verdict.safe:
+                    assert is_execution(bat, prog, verdict.counterexample)
+                checked += 1
+        assert checked == 72
 
 
 class TestGame:
