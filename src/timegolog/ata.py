@@ -145,11 +145,13 @@ def dnf(phi: LocFormula) -> tuple[Clause, ...]:
     return tuple(c for c in distinct if not any(o < c for o in distinct))
 
 
-Configuration = frozenset  # of (location, Fraction) states
+Configuration = frozenset  # of (location, clock value) states
 
 
-def minimal_models(phi: LocFormula, v: Fraction) -> frozenset[Configuration]:
-    """Minimal configurations satisfying phi when the clock reads v."""
+def minimal_models(phi: LocFormula, v, unit: int = 1) -> frozenset[Configuration]:
+    """Minimal configurations satisfying phi when the clock reads v/unit: v
+    is compared against the constants times the unit, so integer clock
+    values over a unit need no Fractions."""
     models = set()
     for clause in dnf(phi):
         ok = True
@@ -157,13 +159,13 @@ def minimal_models(phi: LocFormula, v: Fraction) -> frozenset[Configuration]:
         for atom in clause:
             if atom[0] == "clock":
                 _, rel, const = atom
-                if not compare(v, rel, Fraction(const)):
+                if not compare(v, rel, const * unit):
                     ok = False
                     break
             elif atom[0] == "loc":
                 states.add((atom[1], v))
             else:
-                states.add((atom[1], Fraction(0)))
+                states.add((atom[1], 0))
         if ok:
             models.add(frozenset(states))
     return frozenset(
@@ -193,7 +195,7 @@ class Ata:
     location_names: dict
 
     def initial_configuration(self) -> Configuration:
-        return frozenset({(self.initial, Fraction(0))})
+        return frozenset({(self.initial, 0)})
 
     def is_accepting(self, g: Configuration) -> bool:
         return all(loc in self.accepting for loc, _ in g)
@@ -233,15 +235,20 @@ def make_ata(
     )
 
 
-def time_step(g: Configuration, d: Fraction) -> Configuration:
-    """All clock values advanced by d."""
+def time_step(g: Configuration, d, scale: int = 1) -> Configuration:
+    """All clock values advanced by d; with `scale`, the values are first
+    multiplied by it, moving them to a unit `scale` times finer (d is over
+    that finer unit)."""
     if d < 0:
         raise ValueError("time increments must be non-negative")
-    return frozenset((loc, v + d) for loc, v in g)
+    return frozenset((loc, v * scale + d) for loc, v in g)
 
 
-def symbol_step(g: Configuration, symbol: frozenset, ata: Ata) -> frozenset[Configuration]:
-    """Successor configurations after reading a symbol set.
+def symbol_step(
+    g: Configuration, symbol: frozenset, ata: Ata, unit: int = 1
+) -> frozenset[Configuration]:
+    """Successor configurations after reading a symbol set, the clock values
+    over `unit`.
 
     One minimal model is chosen per state and the choices are unioned;
     configurations subsumed by a strict subset are dropped, which is sound
@@ -252,7 +259,7 @@ def symbol_step(g: Configuration, symbol: frozenset, ata: Ata) -> frozenset[Conf
 
     per_state = []
     for loc, v in sorted(g, key=lambda s: (str(s[0]), s[1])):
-        models = minimal_models(ata.eta(loc, symbol), v)
+        models = minimal_models(ata.eta(loc, symbol), v, unit)
         if not models:
             return frozenset()
         per_state.append(sorted(models, key=model_key))

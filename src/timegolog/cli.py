@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--bat", required=True, help="theory JSON")
     p_verify.add_argument("--program", required=True, help="program JSON")
     p_verify.add_argument("--spec", required=True, help="formula (s-expression or file)")
-    p_verify.add_argument("--budget", type=int, default=None, help="node budget")
+    p_verify.add_argument("--budget", type=int, default=None,
+                          help="node budget; also bounds the region increments of one node")
     p_verify.add_argument("--json", action="store_true", help="machine-readable verdict")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
+from .mtl import Hashed, hashed_dataclass
 from .temporal import as_fraction, compare
 
 ACTION_VAR = "a"  # reserved variable bound to the acting action in SSAs
@@ -414,10 +415,6 @@ def progress(bat: Bat, state: WorldState, action: str) -> WorldState:
 Trace = tuple  # of (action name, absolute Fraction time) pairs
 
 
-def ztime(trace: Trace) -> Fraction:
-    return trace[-1][1] if trace else Fraction(0)
-
-
 def world_after(bat: Bat, trace: Trace) -> WorldState:
     """Fold time advances and actions over the initial state."""
     state = bat.initial
@@ -546,11 +543,14 @@ def regress(bat: Bat, trace: Trace, phi: Formula) -> Formula:
 # --- programs --------------------------------------------------------------------
 
 
-class Program:
+class Program(Hashed):
+    """A program term; residual programs key the search's caches and states,
+    so each term computes its hash once (see `mtl.Hashed`)."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class PAct(Program):
     action: str
 
@@ -558,7 +558,7 @@ class PAct(Program):
         return self.action
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class PTest(Program):
     formula: Formula
 
@@ -566,7 +566,7 @@ class PTest(Program):
         return f"{self.formula}?"
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class PSeq(Program):
     first: Program
     second: Program
@@ -575,7 +575,7 @@ class PSeq(Program):
         return f"({self.first}; {self.second})"
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class PBranch(Program):
     left: Program
     right: Program
@@ -584,7 +584,7 @@ class PBranch(Program):
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class PPar(Program):
     left: Program
     right: Program
@@ -593,7 +593,7 @@ class PPar(Program):
         return f"({self.left} || {self.right})"
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class PStar(Program):
     body: Program
 
@@ -739,23 +739,6 @@ def enabled_steps(bat: Bat, state: WorldState, p: Program) -> frozenset:
         if holds(bat, state, decl.poss) and holds(bat, state, decl.guard):
             out.add((action, rest))
     return frozenset(out)
-
-
-def reachable_programs(bat: Bat, p: Program, limit: int = 10000) -> frozenset:
-    """Syntactically reachable residual programs under any action choice,
-    bounded exploration with normalization (the set is finite)."""
-    seen = {normalize(p)}
-    frontier = [normalize(p)]
-    state = bat.initial
-    while frontier:
-        cur = frontier.pop()
-        for _, rest in program_steps(bat, state, cur):
-            if rest not in seen:
-                if len(seen) >= limit:
-                    raise InputError("program space exceeds exploration limit")
-                seen.add(rest)
-                frontier.append(rest)
-    return frozenset(seen)
 
 
 # --- timed automata as theories ------------------------------------------------

@@ -78,7 +78,29 @@ def _is_int(value) -> bool:
 UNBOUNDED = Interval(0, None)
 
 
-class MtlFormula:
+class Hashed:
+    """Base of the terms that key caches and sets (formulas, programs): the
+    hash is computed once, at construction, from the cached hashes of the
+    fields.  Subclasses are declared with `@hashed_dataclass`."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", self._fields_hash())
+
+    def __hash__(self):
+        return self._hash
+
+
+def hashed_dataclass(cls):
+    """Frozen dataclass with the hash of `Hashed`."""
+    cls = dataclass(frozen=True)(cls)
+    cls._fields_hash = cls.__hash__
+    cls.__hash__ = Hashed.__hash__
+    return cls
+
+
+class MtlFormula(Hashed):
     """Base class; concrete formulas are the frozen dataclasses below."""
 
     __slots__ = ()
@@ -93,7 +115,7 @@ class MtlFormula:
         return Not(self)
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class Atom(MtlFormula):
     name: str
 
@@ -101,7 +123,7 @@ class Atom(MtlFormula):
         return self.name
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class Not(MtlFormula):
     arg: MtlFormula
 
@@ -109,7 +131,7 @@ class Not(MtlFormula):
         return f"!{self.arg}"
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class And(MtlFormula):
     args: tuple
 
@@ -119,7 +141,7 @@ class And(MtlFormula):
         return "(" + " & ".join(map(str, self.args)) + ")"
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class Or(MtlFormula):
     args: tuple
 
@@ -129,7 +151,7 @@ class Or(MtlFormula):
         return "(" + " | ".join(map(str, self.args)) + ")"
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class Until(MtlFormula):
     lhs: MtlFormula
     rhs: MtlFormula
@@ -139,7 +161,7 @@ class Until(MtlFormula):
         return f"({self.lhs} U{self.interval} {self.rhs})"
 
 
-@dataclass(frozen=True)
+@hashed_dataclass
 class DualUntil(MtlFormula):
     lhs: MtlFormula
     rhs: MtlFormula

@@ -8,27 +8,38 @@ alternatives, and search the resulting finitely-branching system.  A
 well-quasi-order on states closes paths that are dominated by an ancestor,
 so the search graph is finite even for looping programs; a two-player
 safety game on the graph decides whether a controller exists and yields one.
+
+A product state holds its program and automaton clock values as integers
+over one per-state unit: a value v of a state with unit u stands for v/u.
+Canonical states (the search's nodes) take the rank unit of
+`temporal.scaled_value_map`; exact states (replay and simulation) are
+reduced by the gcd.  A `Fraction` is built only where a time leaves the
+search: the world handed to `golog`, the times of replayed and simulated
+traces, and `trace_to_word`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .ata import Ata, ata_from_mtl, symbol_step, time_step
 from . import golog, mtl
 from .golog import Bat, Program, WorldState, normalize
-from .mtl import MtlFormula, TimedWord
+from .mtl import Hashed, MtlFormula, TimedWord, hashed_dataclass
 from .temporal import (
     ClockConstraint,
     ResourceError,
-    canonical_value_map,
-    canonical_word,
     mono_dom_leq,
     powerset_leq,
-    region_delays,
+    region_delay_count,
     scale_lcm,
+    scaled_canonical_word,
+    scaled_region_delays,
+    scaled_region_index,
+    scaled_value_map,
     time_successors,  # noqa: F401  (re-exported: `synthesis.time_successors` stays importable)
 )
 
@@ -57,20 +68,20 @@ class Problem:
         self._final_cache = {}
         self._symbol_cache = {}
         self._poss_cache = {}
+        self._guard_cache = {}
         # when no test reads a clock, transitions and finality are functions
         # of the fluent state alone and the caches can ignore the valuation
         self._clocked_tests = bool(golog.clock_atoms(self.program))
 
-    # fluent progression is time-invariant: cache per fluent state
     def progress_fluents(self, state: WorldState, action: str) -> WorldState:
+        """The fluents and functional values after the action, without
+        clocks; progression is time-invariant, so cached per fluent state."""
         key = (state.fluent_key(), action)
         hit = self._progress_cache.get(key)
         if hit is None:
-            hit = golog.progress(self.bat, state, action)
-            self._progress_cache[key] = hit
-        resets = self.bat.actions[action].resets
-        clocks = {c: (Fraction(0) if c in resets else v) for c, v in state.clocks}
-        return hit.with_clocks(clocks)
+            after = golog.progress(self.bat, state, action)
+            hit = self._progress_cache[key] = WorldState(after.fluents, after.funcs, ())
+        return hit
 
     def program_steps(self, state: WorldState, prog: Program) -> frozenset:
         clocks = state.clocks if self._clocked_tests else None
@@ -98,17 +109,26 @@ class Problem:
             self._poss_cache[key] = hit
         return hit
 
-    def guard_ok(self, state: WorldState, action: str) -> bool:
-        return golog.holds(self.bat, state, self.bat.actions[action].guard)
+    def guard_ok(self, state: DetState, regions: tuple, action: str) -> bool:
+        """Whether the action's clock guard holds when the program clocks lie
+        in these regions.  Every guard constant is at most k, so any value
+        of a region decides the guard."""
+        key = (state.fluents, state.funcs, regions, action)
+        hit = self._guard_cache.get(key)
+        if hit is None:
+            world = region_world(state, regions)
+            hit = golog.holds(self.bat, world, self.bat.actions[action].guard)
+            self._guard_cache[key] = hit
+        return hit
 
     def symbol(self, state: WorldState) -> frozenset:
         return frozenset(state.fluents) & self.ata.atom_universe
 
-    def symbol_step(self, config: frozenset, symbol: frozenset) -> frozenset:
-        key = (config, symbol)
+    def symbol_step(self, config: frozenset, symbol: frozenset, unit: int) -> frozenset:
+        key = (config, symbol, unit)
         hit = self._symbol_cache.get(key)
         if hit is None:
-            hit = symbol_step(config, symbol, self.ata)
+            hit = symbol_step(config, symbol, self.ata, unit)
             self._symbol_cache[key] = hit
         return hit
 
@@ -153,26 +173,41 @@ def build_problem(bat: Bat, program: Program, spec: MtlFormula) -> Problem:
 # --- determinized product states -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Member:
-    """One surviving (residual program, automaton configuration) alternative."""
+@hashed_dataclass
+class Member(Hashed):
+    """One surviving (residual program, automaton configuration) alternative;
+    members key sets and caches, so the hash is computed once."""
 
     prog: Program
-    config: frozenset  # of (ata location, Fraction)
+    config: frozenset  # of (ata location, clock value over the state's unit)
 
 
 @dataclass(frozen=True)
 class DetState:
     """Determinized product state: the shared world (fluents, functional
-    values, program clocks) and the set of member alternatives."""
+    values, program clocks) and the set of member alternatives.  Every clock
+    value v, of the program and of the automata, stands for v/unit."""
 
     fluents: frozenset
     funcs: tuple
-    clocks: tuple  # sorted (clock name, Fraction)
+    clocks: tuple  # sorted (clock name, clock value over the unit)
     members: frozenset  # of Member
+    unit: int
 
     def world(self) -> WorldState:
-        return WorldState(self.fluents, self.funcs, self.clocks)
+        return WorldState(
+            self.fluents, self.funcs,
+            tuple((c, Fraction(v, self.unit)) for c, v in self.clocks),
+        )
+
+
+def region_world(state: DetState, regions: tuple) -> WorldState:
+    """The state's world with each program clock at a representative of the
+    given region: index i (see `temporal.region_index`) at i/2."""
+    return WorldState(
+        state.fluents, state.funcs,
+        tuple((c, Fraction(r, 2)) for (c, _), r in zip(state.clocks, regions)),
+    )
 
 
 def pooled_clock_set(state: DetState, ata: Ata) -> frozenset:
@@ -193,41 +228,49 @@ def clock_values(state: DetState) -> set:
     return values
 
 
-def canonicalize(state: DetState, ata: Ata, k: int) -> DetState:
+def canonicalize(state: DetState, k: int) -> DetState:
     """Joint region representative of all clock values; the node identity."""
-    mapping = canonical_value_map(clock_values(state), k)
+    mapping, unit = scaled_value_map(clock_values(state), state.unit, k)
     clocks = tuple((c, mapping[v]) for c, v in state.clocks)
     members = frozenset(
         Member(m.prog, frozenset((loc, mapping[v]) for loc, v in m.config))
         for m in state.members
     )
-    return DetState(state.fluents, state.funcs, clocks, members)
+    return DetState(state.fluents, state.funcs, clocks, members, unit)
 
 
-def advance_state(state: DetState, d: Fraction) -> DetState:
+def reduced(state: DetState) -> DetState:
+    """The same exact state over the smallest unit."""
+    g = gcd(state.unit, *clock_values(state))
+    if g == 1:
+        return state
     return DetState(
-        state.fluents,
-        state.funcs,
-        tuple((c, v + d) for c, v in state.clocks),
-        frozenset(Member(m.prog, time_step(m.config, d)) for m in state.members),
+        state.fluents, state.funcs,
+        tuple((c, v // g) for c, v in state.clocks),
+        frozenset(
+            Member(m.prog, frozenset((loc, v // g) for loc, v in m.config))
+            for m in state.members
+        ),
+        state.unit // g,
     )
 
 
 def exact_initial_state(problem: Problem) -> DetState:
     w0 = problem.bat.initial
+    unit = scale_lcm(v for _, v in w0.clocks)
     configs = problem.symbol_step(
-        problem.ata.initial_configuration(), problem.symbol(w0)
+        problem.ata.initial_configuration(), problem.symbol(w0), unit
     )
     return DetState(
-        w0.fluents, w0.funcs, w0.clocks,
-        frozenset(Member(problem.program, g) for g in configs),
+        w0.fluents, w0.funcs, tuple((c, int(v * unit)) for c, v in w0.clocks),
+        frozenset(Member(problem.program, g) for g in configs), unit,
     )
 
 
 def initial_det_state(problem: Problem) -> DetState:
     """Pair the fresh program with the automaton after it reads the set of
     initially true ground fluent atoms."""
-    return canonicalize(exact_initial_state(problem), problem.ata, problem.k)
+    return canonicalize(exact_initial_state(problem), problem.k)
 
 
 def is_bad(problem: Problem, state: DetState) -> bool:
@@ -246,17 +289,29 @@ def is_final_state(problem: Problem, state: DetState) -> bool:
     return all(problem.is_final(world, m.prog) for m in state.members)
 
 
-def increments(problem: Problem, state: DetState) -> list[Fraction]:
-    """Accumulated region increments of the pooled clock set, ascending.
+def increments(problem: Problem, state: DetState) -> list[int]:
+    """Accumulated region increments of the pooled clock set, ascending, as
+    integers over 2 * state.unit.
 
     Names never change an increment, so the distinct values suffice."""
-    return region_delays(clock_values(state), problem.k)
+    return scaled_region_delays(clock_values(state), state.unit, problem.k)
+
+
+def _moves(problem: Problem, world: WorldState, members) -> list:
+    """(action, [(member, residual program)]) for the members' next steps
+    whose action passes its precondition, actions in lexicographic order."""
+    by_action: dict = {}
+    for member in members:
+        for action, rest in problem.program_steps(world, member.prog):
+            by_action.setdefault(action, []).append((member, rest))
+    return [(a, by_action[a]) for a in sorted(by_action) if problem.poss(world, a)]
 
 
 def det_successors_exact(
     problem: Problem, state: DetState, delays: Optional[list] = None
 ) -> list:
-    """All ((action, increment index), successor) pairs with exact values.
+    """All ((action, increment index), successor) pairs with exact values,
+    the successors over the unit 2 * state.unit.
 
     Per increment, the enabled actions are the members' syntactic next steps
     that pass precondition and clock guard at the advanced valuation; the
@@ -266,36 +321,53 @@ def det_successors_exact(
     whose configuration strictly contains another one with the same residual
     program are dropped (acceptance is downward closed).  `delays` are the
     state's `increments`, for callers that already have them.
+
+    What does not depend on the delay is done once: the preconditions, and
+    the program steps unless a program test reads a clock.  A member's
+    configuration is advanced only at an increment where one of its actions
+    passed precondition and guard.
     """
     if delays is None:
         delays = increments(problem, state)
+    unit = 2 * state.unit
+    world = state.world()
+    moves = None if problem._clocked_tests else _moves(problem, world, state.members)
+    if moves == []:
+        return []
     out = []
     for idx, delay in enumerate(delays):
-        advanced = advance_state(state, delay)
-        advanced_world = advanced.world()
-        candidates: dict = {}
-        for member in advanced.members:
-            for action, rest in problem.program_steps(advanced_world, member.prog):
-                candidates.setdefault(action, []).append((member, rest))
-        for action in sorted(candidates):
-            if not problem.poss(advanced_world, action):
+        clocks = tuple((c, 2 * v + delay) for c, v in state.clocks)
+        # program tests and guards compare with constants at most k, so the
+        # program clocks' regions decide them
+        regions = tuple(scaled_region_index(v, unit, problem.k) for _, v in clocks)
+        enabled = moves
+        if enabled is None:
+            enabled = _moves(problem, region_world(state, regions), state.members)
+        advanced: dict = {}  # member -> its configuration after the delay
+        for action, steps in enabled:
+            if not problem.guard_ok(state, regions, action):
                 continue
-            if not problem.guard_ok(advanced_world, action):
-                continue
-            next_world = problem.progress_fluents(advanced_world, action)
+            next_world = problem.progress_fluents(world, action)
             symbol = problem.symbol(next_world)
-            new_members = set()
-            for member, rest in candidates[action]:
-                for config in problem.symbol_step(member.config, symbol):
-                    new_members.add(Member(rest, config))
+            configs_of: dict = {}  # residual program -> its configurations
+            for member, rest in steps:
+                config = advanced.get(member)
+                if config is None:
+                    config = advanced[member] = time_step(member.config, delay, 2)
+                configs_of.setdefault(rest, set()).update(
+                    problem.symbol_step(config, symbol, unit)
+                )
             pruned = frozenset(
-                m for m in new_members
-                if not any(o.prog == m.prog and o.config < m.config for o in new_members)
+                Member(rest, g) for rest, configs in configs_of.items()
+                for g in configs if not any(o < g for o in configs)
             )
             if not pruned:
                 continue
+            resets = problem.bat.actions[action].resets
             out.append(((action, idx), DetState(
-                next_world.fluents, next_world.funcs, next_world.clocks, pruned,
+                next_world.fluents, next_world.funcs,
+                tuple((c, 0 if c in resets else v) for c, v in clocks),
+                pruned, unit,
             )))
     return out
 
@@ -306,7 +378,7 @@ def det_successors(
     """Canonicalized successors, deterministic order (increments ascending,
     actions lexicographic)."""
     return [
-        (key, canonicalize(succ, problem.ata, problem.k))
+        (key, canonicalize(succ, problem.k))
         for key, succ in det_successors_exact(problem, state, delays)
     ]
 
@@ -314,26 +386,30 @@ def det_successors(
 # --- the quasi-order -------------------------------------------------------------
 
 
-def state_leq(problem: Problem, m1: Member, clocks1, m2: Member, clocks2) -> bool:
-    """Product-state order: equal residual program and monotone domination
-    of the canonical words of the combined clock sets."""
-    if m1.prog != m2.prog:
-        return False
+def member_words(problem: Problem, state: DetState, interned: dict) -> dict:
+    """The canonical words of the members' pooled clock sets (the program
+    clocks with the member's automaton clocks, named by location), without
+    repeats, per residual program.  Few words are distinct, so each is kept
+    once in `interned`, which the states of one search share."""
     name = problem.ata.name_of
-    c1 = frozenset(clocks1) | frozenset((name(l), v) for l, v in m1.config)
-    c2 = frozenset(clocks2) | frozenset((name(l), v) for l, v in m2.config)
-    return mono_dom_leq(canonical_word(c1, problem.k), canonical_word(c2, problem.k))
+    words: dict = {}
+    for m in state.members:
+        entries = set(state.clocks)
+        entries.update((name(loc), v) for loc, v in m.config)
+        word = scaled_canonical_word(entries, state.unit, problem.k)
+        words.setdefault(m.prog, set()).add(interned.setdefault(word, word))
+    return {prog: tuple(found) for prog, found in words.items()}
 
 
-def det_leq(problem: Problem, c1: DetState, c2: DetState) -> bool:
-    """Power set order over the state order; states with different worlds
-    are incomparable."""
-    if (c1.fluents, c1.funcs) != (c2.fluents, c2.funcs):
+def det_leq(a: Node, b: Node) -> bool:
+    """The well-quasi-order on two nodes with their `member_words`: equal
+    worlds, and every member of b dominates a member of a with the same
+    residual program, by monotone domination of their canonical words."""
+    if (a.state.fluents, a.state.funcs) != (b.state.fluents, b.state.funcs):
         return False
-    return powerset_leq(
-        c1.members,
-        c2.members,
-        lambda x, y: state_leq(problem, x, c1.clocks, y, c2.clocks),
+    return all(
+        powerset_leq(a.words.get(prog, ()), words, mono_dom_leq)
+        for prog, words in b.words.items()
     )
 
 
@@ -353,6 +429,7 @@ class Node:
     label: Optional[bool] = None
     expanded: bool = False
     delays: Optional[list] = None  # the state's increments, once expanded
+    words: Optional[dict] = None  # the state's member_words, once classified
 
 
 @dataclass
@@ -393,6 +470,8 @@ def build_graph(
     path), or successor-less; canonically identical states share one node.
     With `prune`, a node stops expanding children once its game label is
     already decided by the expanded ones; its edge list then stays partial.
+    `budget` bounds the number of nodes and the region increments of any
+    one node; exceeding it raises `ResourceError`.
     """
     if prune and controllable is None:
         raise ValueError("pruning needs the controllable-action predicate")
@@ -411,14 +490,23 @@ def build_graph(
 
     path: list[int] = []
     on_path: set[int] = set()
+    interned_words: dict = {}
     # canonical states share few sets of clock values: one delays list each
     delays_by_values: dict = {}
 
     def delays_of(state: DetState) -> list:
-        values = frozenset(clock_values(state))
-        delays = delays_by_values.get(values)
+        key = (frozenset(clock_values(state)), state.unit)
+        delays = delays_by_values.get(key)
         if delays is None:
-            delays = delays_by_values[values] = region_delays(values, problem.k)
+            values, unit = key
+            if budget is not None:
+                # the increments are counted before they are enumerated
+                count = region_delay_count(values, unit, problem.k)
+                if count > budget:
+                    raise ResourceError(
+                        f"budget {budget} exhausted ({count} region increments at one node)"
+                    )
+            delays = delays_by_values[key] = scaled_region_delays(values, unit, problem.k)
         return delays
 
     def classify(node: Node) -> Optional[list]:
@@ -429,8 +517,9 @@ def build_graph(
             node.label = False
             node.expanded = True
             return None
+        node.words = member_words(problem, node.state, interned_words)
         for anc_id in reversed(path):
-            if det_leq(problem, nodes[anc_id].state, node.state):
+            if det_leq(nodes[anc_id], node):
                 node.status = SUCCESSFUL
                 node.dominator = anc_id
                 node.expanded = True
@@ -649,9 +738,9 @@ def replay_path(problem: Problem, keys: Iterable[tuple]) -> tuple:
         succ = successors.get((action, idx))
         if succ is None:
             raise AssertionError("replay diverged from the abstract path")
-        now += delays[idx]
+        now += Fraction(delays[idx], 2 * state.unit)
         trace.append((action, now))
-        state = succ
+        state = reduced(succ)
     return tuple(trace)
 
 
@@ -713,7 +802,9 @@ def graph_debug_json(problem: Problem, graph: SearchGraph) -> dict:
             "label": node.label,
             "fluents": sorted(node.state.fluents),
             "programs": sorted({str(m.prog) for m in node.state.members}),
-            "canonicalWord": canonical_word(pooled, problem.k).to_json(),
+            "canonicalWord": scaled_canonical_word(
+                pooled, node.state.unit, problem.k
+            ).to_json(),
             "edges": [
                 {"action": action, "increment": idx, "to": cid}
                 for (action, idx), cid in node.edges
@@ -776,21 +867,22 @@ class Controller:
         )
 
 
-def _region_guard(problem: Problem, state: DetState, delay: Fraction) -> ClockConstraint:
+def _region_guard(problem: Problem, state: DetState, delay: int) -> ClockConstraint:
     """Box constraint over the program clocks describing their individual
-    regions after the delay (fractional-part ordering between clocks is not
-    expressible without diagonal constraints and is dropped)."""
+    regions after the delay, an increment of the state (fractional-part
+    ordering between clocks is not expressible without diagonal constraints
+    and is dropped)."""
+    k = problem.k
     atoms = []
     for clock, value in state.clocks:
-        v = value + delay
-        if v > problem.k:
-            atoms.append((clock, ">", problem.k))
-        elif v.denominator == 1:
-            atoms.append((clock, "=", int(v)))
+        region = scaled_region_index(2 * value + delay, 2 * state.unit, k)
+        if region == 2 * k + 1:
+            atoms.append((clock, ">", k))
+        elif region % 2 == 0:
+            atoms.append((clock, "=", region // 2))
         else:
-            floor_v = int(v)
-            atoms.append((clock, ">", floor_v))
-            atoms.append((clock, "<", floor_v + 1))
+            atoms.append((clock, ">", region // 2))
+            atoms.append((clock, "<", region // 2 + 1))
     return ClockConstraint(tuple(atoms))
 
 
@@ -938,9 +1030,9 @@ def simulate_controller(
             if succ is None:
                 ended = True  # selection error already recorded
                 break
-            now += delays[key[1]]
+            now += Fraction(delays[key[1]], 2 * state.unit)
             trace.append((key[0], now))
-            state = succ
+            state = reduced(succ)
             node = graph.node(selected[key].target)
         if not ended:
             continue

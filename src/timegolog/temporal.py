@@ -1,9 +1,12 @@
 """Clocks, regions, region increments, canonical words and quasi-orders.
 
-All clock arithmetic is exact: values are rationals (`fractions.Fraction`),
-never floats.  The region kernels `region_delays` and `canonical_value_map`
-scale the values they read by the lcm of their denominators and work on the
-resulting integers, building Fractions only for their output.
+All clock arithmetic is exact, never floats.  The region kernels work on
+integers over a unit: a clock value v stands for v/unit.  The search in
+`synthesis` keeps its states in that form; the `Fraction` APIs
+(`region_delays`, `canonical_value_map`, `time_successors`) scale the
+rationals they read by the lcm of their denominators, call the integer
+kernel (`scaled_region_delays`, `scaled_value_map`) and build Fractions only
+for their output.
 A "clock set" in this module is a set of (name, value) pairs rather than a
 mapping, because alternating automata may carry the same name with several
 different clock values at once.
@@ -22,7 +25,7 @@ RELATIONS = ("<", "<=", "=", ">=", ">")
 
 
 class ResourceError(Exception):
-    """A search exceeded its node budget."""
+    """A search exceeded its budget."""
 
 
 def as_fraction(x) -> Fraction:
@@ -162,13 +165,6 @@ def eval_constraint(valuation: Mapping[str, Fraction], g: ClockConstraint) -> bo
     return True
 
 
-def advance(valuation: Mapping[str, Fraction], d: Fraction) -> dict[str, Fraction]:
-    """Valuation with every clock increased by exactly d (d >= 0)."""
-    if d < 0:
-        raise ValueError("time increments must be non-negative")
-    return {name: value + d for name, value in valuation.items()}
-
-
 def reset(valuation: Mapping[str, Fraction], names: Iterable[str]) -> dict[str, Fraction]:
     """Valuation with the given clocks set to 0, others unchanged."""
     names = set(names)
@@ -238,6 +234,24 @@ def canonical_word(c: Iterable[tuple[str, Fraction]], k: int) -> CanonicalWord:
     return CanonicalWord(letters)
 
 
+def scaled_region_index(v: int, unit: int, k: int) -> int:
+    """`region_index` of the value v/unit."""
+    if v > k * unit:
+        return 2 * k + 1
+    q, r = divmod(v, unit)
+    return 2 * q + (r > 0)
+
+
+def scaled_canonical_word(c: Iterable[tuple[str, int]], unit: int, k: int) -> CanonicalWord:
+    """`canonical_word` of the clock set whose values are v/unit."""
+    top = k * unit
+    groups: dict[int, set[tuple[str, int]]] = {}
+    for name, v in c:
+        fraction = 0 if v > top else v % unit
+        groups.setdefault(fraction, set()).add((name, scaled_region_index(v, unit, k)))
+    return CanonicalWord(tuple(frozenset(groups[f]) for f in sorted(groups)))
+
+
 def region_equivalent(
     c1: Iterable[tuple[str, Fraction]], c2: Iterable[tuple[str, Fraction]], k: int
 ) -> bool:
@@ -275,33 +289,54 @@ def region_increment(c: Iterable[tuple[str, Fraction]], k: int) -> Fraction:
 def region_delays(values: Iterable[Fraction], k: int) -> list[Fraction]:
     """Accumulated region increments of a clock set with these values,
     ascending from 0: the delays of `time_successors`, without the sets.
+    `scaled_region_delays` over the lcm of the denominators."""
+    values = [as_fraction(v) for v in values]
+    unit = lcm(1, *(v.denominator for v in values if v <= k))
+    scaled = [v.numerator * (unit // v.denominator) for v in values if v <= k]
+    return [Fraction(d, 2 * unit) for d in scaled_region_delays(scaled, unit, k)]
+
+
+def scaled_region_delays(values: Iterable[int], unit: int, k: int) -> list[int]:
+    """`region_delays` of the values v/unit, as integers over 2*unit.
 
     Only the distinct values at most k matter; names, and values above k,
-    never change an increment.  Over their common denominator D the values
-    are integers a.  The walk's integer points, where some value reaches an
-    integer at most k, are the times -a mod D, D later, and so on up to
-    k*D - a.  From an integer point the walk makes a half step to the
-    midpoint of the next one, and from there a full step onto it, so all
-    delays are integers at scale 2D.  The last integer point is where the
-    smallest value reaches k; the half step from it leaves every value
-    above k.
+    never change an increment.  The walk's integer points, where some value
+    a reaches an integer at most k, are the times -a mod unit, unit later,
+    and so on up to k*unit - a.  From an integer point the walk makes a
+    half step to the midpoint of the next one, and from there a full step
+    onto it, so all delays are integers over 2*unit.  The last integer point
+    is where the smallest value reaches k; the half step from it leaves
+    every value above k.
     """
-    low = {v for v in values if v <= k}
+    top = k * unit
+    low = {v for v in values if v <= top}
     if not low:
-        return [Fraction(0)]
-    scale = lcm(*(v.denominator for v in low))
-    top = k * scale
+        return [0]
     points = set()
-    for v in low:
-        a = v.numerator * (scale // v.denominator)
-        points.update(range(-a % scale, top - a + 1, scale))
+    for a in low:
+        points.update(range(-a % unit, top - a + 1, unit))
     points = sorted(points)
     doubled = [0] if points[0] == 0 else [0, 2 * points[0]]
     for prev, p in zip(points, points[1:]):
         doubled += (prev + p, 2 * p)
-    doubled.append(2 * points[-1] + scale)
-    scale *= 2
-    return [Fraction(d, scale) for d in doubled]
+    doubled.append(2 * points[-1] + unit)
+    return doubled
+
+
+def region_delay_count(values: Iterable[int], unit: int, k: int) -> int:
+    """len(scaled_region_delays(values, unit, k)), without enumerating the
+    delays: per residue class of the values at most k, the integer points
+    run from that residue up to k*unit minus the class's smallest value."""
+    top = k * unit
+    smallest: dict[int, int] = {}
+    for a in values:
+        if a <= top:
+            r = -a % unit
+            smallest[r] = min(a, smallest.get(r, a))
+    if not smallest:
+        return 1
+    points = sum((top - a - r) // unit + 1 for r, a in smallest.items())
+    return 2 * points + (0 if 0 in smallest else 1)
 
 
 def time_successors(
@@ -327,29 +362,34 @@ def canonical_value_map(values: Iterable[Fraction], k: int) -> dict[Fraction, Fr
     over a common denominator, preserving integer parts, ties, and order.
     Applying the map to a clock set yields a region-equivalent set with
     denominators bounded by the number of distinct fractional parts, and the
-    map is idempotent on its own image.  Fractional parts are ranked as
-    integers over the lcm of the denominators of the values at most k.
+    map is idempotent on its own image.  `scaled_value_map` over the lcm of
+    the denominators of the values at most k.
     """
     values = {as_fraction(v) for v in values}
-    low = [v for v in values if v <= k]
-    scale = lcm(1, *(v.denominator for v in low))
-    scaled = {v: v.numerator * (scale // v.denominator) for v in low}
-    fracts = {a % scale for a in scaled.values()}
-    if len(low) < len(values):
-        fracts.add(0)  # values above k count as fractional part 0
-    if not fracts:
-        return {}
-    fracts = sorted(fracts)
-    offset = 0 if fracts[0] == 0 else 1
-    denominator = len(fracts) + offset
-    rank = {f: i + offset for i, f in enumerate(fracts)}
-    out = {
-        v: Fraction(a // scale * denominator + rank[a % scale], denominator)
-        for v, a in scaled.items()
+    unit = lcm(1, *(v.denominator for v in values if v <= k))
+    scaled = {
+        v: v.numerator * (unit // v.denominator) if v <= k else (k + 1) * unit
+        for v in values
     }
-    above = Fraction(k + 1)
-    out.update((v, above) for v in values if v > k)
-    return out
+    mapping, rank_unit = scaled_value_map(scaled.values(), unit, k)
+    return {v: Fraction(mapping[a], rank_unit) for v, a in scaled.items()}
+
+
+def scaled_value_map(values: Iterable[int], unit: int, k: int) -> tuple[dict[int, int], int]:
+    """`canonical_value_map` of the values v/unit, as (map, rank unit): each
+    value maps to an integer over the rank unit, which is the number of
+    distinct fractional parts, plus one when none of them is 0 (values above
+    k count as fractional part 0)."""
+    top = k * unit
+    values = set(values)
+    fracts = sorted({0 if v > top else v % unit for v in values})
+    offset = 1 if fracts and fracts[0] else 0
+    rank_unit = len(fracts) + offset or 1
+    rank = {f: i + offset for i, f in enumerate(fracts)}
+    above = (k + 1) * rank_unit
+    return {
+        v: above if v > top else v // unit * rank_unit + rank[v % unit] for v in values
+    }, rank_unit
 
 
 def canonical_valuation(

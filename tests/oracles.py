@@ -4,9 +4,11 @@ separate from the zone engine and the synthesis pipeline."""
 from fractions import Fraction
 
 from timegolog import golog
+from timegolog.ata import symbol_step
 from timegolog.temporal import (
     canonical_valuation,
     eval_constraint,
+    region_delays,
     time_successors,
 )
 
@@ -143,3 +145,43 @@ def region_language(ta, max_actions: int):
 
     explore(ta.initial, start_val, Fraction(0), [], max_actions)
     return words
+
+
+def eager_successors(problem, state):
+    """Reference for `synthesis.det_successors_exact` in Fractions: every
+    member's configuration is advanced at every region increment, and the
+    enabled steps are evaluated with `golog` on the exact advanced world.
+    Successors are (fluents, funcs, clocks, members) with Fraction values,
+    a member being a (residual program, configuration) pair."""
+    bat, ata, unit = problem.bat, problem.ata, state.unit
+    world0 = golog.WorldState(
+        state.fluents, state.funcs,
+        tuple((c, Fraction(v, unit)) for c, v in state.clocks),
+    )
+    members = [
+        (m.prog, frozenset((loc, Fraction(v, unit)) for loc, v in m.config))
+        for m in state.members
+    ]
+    values = {v for _, v in world0.clocks} | {v for _, g in members for _, v in g}
+    out = []
+    for idx, delay in enumerate(region_delays(values, problem.k)):
+        world = world0.advanced(delay)
+        by_action = {}
+        for prog, config in members:
+            advanced = frozenset((loc, v + delay) for loc, v in config)
+            for action, rest in golog.enabled_steps(bat, world, prog):
+                by_action.setdefault(action, []).append((advanced, rest))
+        for action in sorted(by_action):
+            after = golog.progress(bat, world, action)
+            symbol = frozenset(after.fluents) & ata.atom_universe
+            succ = {
+                (rest, g)
+                for config, rest in by_action[action]
+                for g in symbol_step(config, symbol, ata)
+            }
+            kept = frozenset(
+                m for m in succ if not any(o[0] == m[0] and o[1] < m[1] for o in succ)
+            )
+            if kept:
+                out.append(((action, idx), (after.fluents, after.funcs, after.clocks, kept)))
+    return out

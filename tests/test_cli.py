@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -196,6 +197,26 @@ class TestVerify:
         bat = load_bat(bat_obj)
         assert is_execution(bat, load_program(prog_obj, bat), trace)
         assert mtl.satisfies(synthesis.trace_to_word(bat, trace), 0, parse_mtl(spec))
+
+    @pytest.mark.parametrize("command", ["verify", "synth"])
+    def test_region_increments_count_against_the_budget(self, tmp_path, capsys, command):
+        # the guard constant makes k = 100000, so the first node alone has
+        # 200002 region increments; the budget stops the search before any
+        # of them is enumerated
+        bat_obj = toggle_bat_json("(>= c0 100000)")
+        prog_obj = {"seq": [{"act": "set_p0"}, {"act": "clear_p0"}]}
+        (tmp_path / "bat.json").write_text(json.dumps(bat_obj))
+        (tmp_path / "prog.json").write_text(json.dumps(prog_obj))
+        argv = [command, "--bat", str(tmp_path / "bat.json"),
+                "--program", str(tmp_path / "prog.json"),
+                "--spec", "(finally (and p0 (finally (not p0))))", "--budget", "50"]
+        if command == "synth":
+            argv += ["--controllable", "set*"]
+        start = perf_counter()
+        assert main(argv) == 2
+        assert perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == "error: budget 50 exhausted (200002 region increments at one node)\n"
 
     @pytest.mark.parametrize("command", ["verify", "synth"])
     @pytest.mark.parametrize("bat_obj,prog_obj,spec_obj", [

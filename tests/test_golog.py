@@ -33,11 +33,9 @@ from timegolog.golog import (
     normalize,
     program_steps,
     progress,
-    reachable_programs,
     regress,
     seq,
     world_after,
-    ztime,
 )
 from timegolog.parsing import load_bat, load_program, parse_static, program_to_json
 from timegolog.temporal import ClockConstraint
@@ -53,6 +51,22 @@ from fixtures import (
     load_camera_bat_json,
     start,
 )
+
+def reachable_programs(bat, p, limit=10000) -> frozenset:
+    """Syntactically reachable residual programs under any action choice,
+    bounded exploration with normalization (the set is finite)."""
+    seen = {normalize(p)}
+    frontier = [normalize(p)]
+    while frontier:
+        cur = frontier.pop()
+        for _, rest in program_steps(bat, bat.initial, cur):
+            if rest not in seen:
+                if len(seen) >= limit:
+                    raise InputError("program space exceeds exploration limit")
+                seen.add(rest)
+                frontier.append(rest)
+    return frozenset(seen)
+
 
 S_DRIVE = str(start(drive("m1", "m2")))
 E_DRIVE = str(end(drive("m1", "m2")))
@@ -462,11 +476,6 @@ class TestTaEmbedding:
         assert label_trace((), labels) == ()
         assert label_trace((("sw0", Q(1)),), labels) == (("go", Q(1)),)
         assert label_trace((("other", Q(2)),), labels) == (("other", Q(2)),)
-
-
-def test_ztime():
-    assert ztime(()) == 0
-    assert ztime((("a", Q(5, 2)),)) == Q(5, 2)
 
 
 def test_fluent_values_are_time_invariant(bat=None):

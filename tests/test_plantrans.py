@@ -18,7 +18,6 @@ from timegolog.plantrans import (
     build_encoding,
     constraint_formulas,
     constraints_from_json,
-    constraints_to_json,
     encode_plan,
     get_activations,
     match_action,
@@ -376,6 +375,36 @@ class TestSilentCrossingReconstruction:
         trace = transform_plan(plan, camera_platform_ta(), cs)
         assert trace is not None
         assert validate_transformed(trace, plan, camera_platform_ta(), cs)
+
+
+def constraints_to_json(cs: ConstraintSet) -> dict:
+    """The JSON shape `constraints_from_json` reads."""
+    def beta_text(phi) -> str:
+        if isinstance(phi, Atom):
+            return phi.name
+        if isinstance(phi, mtl.Not):
+            return f"(not {beta_text(phi.arg)})"
+        if isinstance(phi, mtl.And):
+            return "true" if not phi.args else "(and " + " ".join(map(beta_text, phi.args)) + ")"
+        if isinstance(phi, mtl.Or):
+            return "false" if not phi.args else "(or " + " ".join(map(beta_text, phi.args)) + ")"
+        raise ValueError(f"not a location predicate: {phi!r}")
+
+    return {
+        "abs": [{"i": c.i, "interval": c.interval.to_json()} for c in cs.abs],
+        "rel": [{"i": c.i, "j": c.j, "interval": c.interval.to_json()} for c in cs.rel],
+        "chain": [
+            {
+                "stages": [
+                    {"beta": beta_text(beta), "interval": iv.to_json()}
+                    for beta, iv in c.stages
+                ],
+                "alpha1": c.alpha1,
+                "alpha2": c.alpha2,
+            }
+            for c in cs.chain
+        ],
+    }
 
 
 class TestJson:

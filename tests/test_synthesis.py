@@ -1,16 +1,24 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timegolog import golog, mtl, synthesis
 from timegolog.golog import (
     ActionDecl,
     Bat,
+    Const,
     NIL,
     PAct,
+    PBranch,
+    PPar,
+    PSeq,
     PStar,
     PTest,
+    SClock,
     SAtom,
     SsaRel,
     STRUE,
@@ -23,25 +31,31 @@ from timegolog.mtl import Atom, And, Interval, Not, TRUE, Until, finally_
 from timegolog.synthesis import (
     DetState,
     Member,
+    Node,
     ResourceError,
     build_graph,
     build_problem,
+    canonicalize,
     check_for_controller,
     det_leq,
     det_successors,
+    det_successors_exact,
+    exact_initial_state,
     extract_controller,
     initial_det_state,
     is_bad,
     label_graph,
+    member_words,
     replay_path,
     path_to,
+    reduced,
     simulate_controller,
-    state_leq,
     trace_to_word,
     verify,
 )
 
 from timegolog.parsing import load_bat, load_program, parse_mtl
+from timegolog.temporal import canonical_word
 
 from fixtures import (
     build_camera_bat,
@@ -50,7 +64,7 @@ from fixtures import (
     set_test_clear,
     toggle_bat_json,
 )
-from oracles import enumerate_completed_traces, is_execution
+from oracles import eager_successors, enumerate_completed_traces, is_execution
 
 
 def tiny_bat(n_atoms=2, clocked=False):
@@ -137,30 +151,41 @@ class TestDetSuccessors:
         assert len(keys) == len(set(keys))
 
 
+def leq(problem, c1, c2) -> bool:
+    """`det_leq` on two states, as nodes carrying their member words."""
+    return det_leq(
+        Node(0, c1, words=member_words(problem, c1, {})),
+        Node(1, c2, words=member_words(problem, c2, {})),
+    )
+
+
+def one_member_state(member, unit=1):
+    return DetState(frozenset(), (), (), frozenset({member}), unit)
+
+
 class TestOrders:
     def test_reflexive(self):
         bat = build_camera_bat()
         problem = build_problem(bat, camera_program(), camera_spec())
         c0 = initial_det_state(problem)
-        assert det_leq(problem, c0, c0)
+        assert leq(problem, c0, c0)
 
     def test_empty_config_dominates(self):
         # a member without obligations is below one with an extra obligation
         bat = tiny_bat(1)
         phi3 = Until(TRUE, Atom("p0"), Interval(0, 2))
         problem = build_problem(bat, NIL, phi3)
-        clocks = ()
-        m_small = Member(NIL, frozenset())
-        m_big = Member(NIL, frozenset({(phi3, Q(9, 5))}))
-        assert state_leq(problem, m_small, clocks, m_big, clocks)
-        assert not state_leq(problem, m_big, clocks, m_small, clocks)
+        small = one_member_state(Member(NIL, frozenset()), 5)
+        big = one_member_state(Member(NIL, frozenset({(phi3, 9)})), 5)  # 9/5
+        assert leq(problem, small, big)
+        assert not leq(problem, big, small)
 
     def test_different_programs_incomparable(self):
         bat = tiny_bat(1)
         problem = build_problem(bat, NIL, finally_(Atom("p0")))
-        m1 = Member(NIL, frozenset())
-        m2 = Member(PAct("set_p0"), frozenset())
-        assert not state_leq(problem, m1, (), m2, ())
+        s1 = one_member_state(Member(NIL, frozenset()))
+        s2 = one_member_state(Member(PAct("set_p0"), frozenset()))
+        assert not leq(problem, s1, s2)
 
     def test_det_leq_needs_equal_fluents(self):
         bat = tiny_bat(1)
@@ -169,7 +194,7 @@ class TestOrders:
         succ = det_successors(problem, c0)
         assert succ
         _, c1 = succ[0]
-        assert not det_leq(problem, c0, c1)
+        assert not leq(problem, c0, c1)
 
 
 class TestVerify:
@@ -385,12 +410,12 @@ class TestDownwardProperties:
         pairs = 0
         for c1 in states:
             for c2 in states:
-                if c1 is c2 or not det_leq(problem, c1, c2):
+                if c1 is c2 or not leq(problem, c1, c2):
                     continue
                 pairs += 1
                 for key, c2_succ in det_successors(problem, c2):
                     matched = any(
-                        det_leq(problem, c1_succ, c2_succ)
+                        leq(problem, c1_succ, c2_succ)
                         for _, c1_succ in det_successors(problem, c1)
                     )
                     assert matched, (c1, c2, key)
@@ -404,7 +429,7 @@ class TestDownwardProperties:
         states = [n.state for n in graph.nodes]
         for c1 in states:
             for c2 in states:
-                if det_leq(problem, c1, c2) and is_bad(problem, c2):
+                if leq(problem, c1, c2) and is_bad(problem, c2):
                     assert is_bad(problem, c1)
 
 
@@ -491,26 +516,26 @@ class TestRegionDelaysOncePerState:
     def test_extraction_reuses_search_delays(self, camera_game, monkeypatch):
         expected = extract_controller(*camera_game)
 
-        def forbidden(values, k):
+        def forbidden(values, unit, k):
             raise AssertionError("delays recomputed during extraction")
 
-        monkeypatch.setattr(synthesis, "region_delays", forbidden)
+        monkeypatch.setattr(synthesis, "scaled_region_delays", forbidden)
         assert extract_controller(*camera_game).edges == expected.edges
 
     def test_simulation_computes_delays_once_per_step(self, camera_game, monkeypatch):
         controller = extract_controller(*camera_game)
         calls = {"delays": 0, "successors": 0}
-        delays, successors = synthesis.region_delays, synthesis.det_successors_exact
+        delays, successors = synthesis.scaled_region_delays, synthesis.det_successors_exact
 
-        def counted_delays(values, k):
+        def counted_delays(values, unit, k):
             calls["delays"] += 1
-            return delays(values, k)
+            return delays(values, unit, k)
 
         def counted_successors(*args, **kwargs):
             calls["successors"] += 1
             return successors(*args, **kwargs)
 
-        monkeypatch.setattr(synthesis, "region_delays", counted_delays)
+        monkeypatch.setattr(synthesis, "scaled_region_delays", counted_delays)
         monkeypatch.setattr(synthesis, "det_successors_exact", counted_successors)
         report = simulate_controller(controller, trials=5, seed=1)
         assert report.ok
@@ -522,3 +547,137 @@ class TestRegionDelaysOncePerState:
             assert controller.edges_from(location) == [
                 e for e in controller.edges if e.source == location
             ]
+
+
+# --- the lazy integer successor function against the eager Fraction one ------
+
+
+def guarded_bat():
+    """Two toggled atoms and one clock c0, reset by the set actions; the
+    clear actions carry clock guards."""
+    bat = tiny_bat(2, clocked=True)
+    bat.actions["clear_p0"] = ActionDecl(guard=SClock(Const("c0"), ">=", Q(1)))
+    bat.actions["clear_p1"] = ActionDecl(guard=SClock(Const("c0"), "<", Q(2)))
+    return bat
+
+
+clock_tests = st.builds(
+    lambda rel, const: PTest(SClock(Const("c0"), rel, const)),
+    st.sampled_from(["<", "<=", "=", ">=", ">"]),
+    st.sampled_from([Q(1), Q(3, 2), Q(2)]),
+)
+small_programs = st.recursive(
+    st.one_of(st.sampled_from(["set_p0", "clear_p0", "set_p1", "clear_p1"]).map(PAct),
+              clock_tests),
+    lambda inner: st.one_of(
+        st.builds(PSeq, inner, inner),
+        st.builds(PBranch, inner, inner),
+        st.builds(PPar, inner, inner),
+        st.builds(PStar, inner),
+    ),
+    max_leaves=5,
+)
+small_specs = st.sampled_from([
+    finally_(Atom("p0")),
+    finally_(Atom("p1"), Interval(0, 1)),
+    finally_(And((Atom("p0"), finally_(Not(Atom("p0")), Interval(1, 2))))),
+    Until(Not(Atom("p1")), Atom("p0"), Interval(1, 3, lo_open=True)),
+    mtl.globally(Atom("p0"), Interval(1, 2)),
+])
+
+
+def in_fractions(successors):
+    return [
+        (key, (s.fluents, s.funcs, tuple((c, Q(v, s.unit)) for c, v in s.clocks),
+               frozenset((m.prog, frozenset((loc, Q(v, s.unit)) for loc, v in m.config))
+                         for m in s.members)))
+        for key, s in successors
+    ]
+
+
+@given(small_programs, small_specs, st.lists(st.integers(min_value=0), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_successors_match_the_eager_fraction_reference(prog, spec, choices):
+    """Along a random path, the exact state and its canonical representative
+    have the successors of the reference that advances every member at every
+    increment; loops and clock-reading program tests included."""
+    problem = build_problem(guarded_bat(), prog, spec)
+    state = exact_initial_state(problem)
+    for choice in [*choices, None]:
+        for s in (state, canonicalize(state, problem.k)):
+            assert in_fractions(det_successors_exact(problem, s)) == eager_successors(problem, s)
+        successors = det_successors_exact(problem, state)
+        if choice is None or not successors:
+            break
+        state = reduced(successors[choice % len(successors)][1])
+
+
+# --- work done once per state ---------------------------------------------------
+
+
+@pytest.fixture
+def camera_problem():
+    return build_problem(build_camera_bat(), camera_program(), camera_spec(1))
+
+
+class TestStateWorkOnce:
+    def test_member_words_computed_once_and_equal_to_canonical_word(
+        self, camera_problem, monkeypatch
+    ):
+        problem = camera_problem
+        calls = []
+        word = synthesis.scaled_canonical_word
+
+        def counted(entries, unit, k):
+            calls.append(unit)
+            return word(entries, unit, k)
+
+        monkeypatch.setattr(synthesis, "scaled_canonical_word", counted)
+        graph = build_graph(problem)
+        assert len(graph.nodes) == 453
+        with_words = [n for n in graph.nodes if n.words is not None]
+        assert all(n.words is not None for n in graph.nodes if n.status == "inner")
+        assert len(calls) == sum(len(n.state.members) for n in with_words)
+        name = problem.ata.name_of
+        for node in with_words:
+            state = node.state
+            clocks = {(c, Q(v, state.unit)) for c, v in state.clocks}
+            expected = {}
+            for m in state.members:
+                pooled = clocks | {(name(loc), Q(v, state.unit)) for loc, v in m.config}
+                expected.setdefault(m.prog, set()).add(canonical_word(pooled, problem.k))
+            assert {prog: set(words) for prog, words in node.words.items()} == expected
+
+    def test_members_advanced_only_where_one_of_their_actions_is_enabled(
+        self, camera_problem, monkeypatch
+    ):
+        problem = camera_problem
+        advanced = Counter()
+        expected = Counter()
+        current = []
+        successors, step = synthesis.det_successors_exact, synthesis.time_step
+
+        def recording_successors(problem, state, delays=None):
+            current[:] = [state]
+            for delay in synthesis.increments(problem, state):
+                world = state.world().advanced(Q(delay, 2 * state.unit))
+                for m in state.members:
+                    if golog.enabled_steps(problem.bat, world, m.prog):
+                        expected[state, m.config, delay] += 1
+            return successors(problem, state, delays)
+
+        def recording_step(config, delay, scale):
+            advanced[current[0], config, delay] += 1
+            return step(config, delay, scale)
+
+        monkeypatch.setattr(synthesis, "det_successors_exact", recording_successors)
+        monkeypatch.setattr(synthesis, "time_step", recording_step)
+        graph = build_graph(problem)
+        assert len(graph.nodes) == 453
+        assert advanced == expected
+        # most (state, increment) pairs enable no action of a member
+        pairs = sum(
+            len(synthesis.increments(problem, n.state)) * len(n.state.members)
+            for n in graph.nodes if n.status in ("inner", "dead")
+        )
+        assert 0 < sum(advanced.values()) < pairs

@@ -9,20 +9,29 @@ from hypothesis import strategies as st
 from timegolog.temporal import (
     CanonicalWord,
     ClockConstraint,
-    advance,
     canonical_value_map,
     canonical_word,
     eval_constraint,
     mono_dom_leq,
     powerset_leq,
     region_equivalent,
+    region_delay_count,
     region_delays,
     region_increment,
     region_index,
     reset,
     scale_lcm,
+    scaled_canonical_word,
+    scaled_region_delays,
     time_successors,
 )
+
+
+def advance(valuation, d):
+    """Valuation with every clock increased by exactly d (d >= 0)."""
+    if d < 0:
+        raise ValueError("time increments must be non-negative")
+    return {name: value + d for name, value in valuation.items()}
 
 
 def cs(*pairs):
@@ -360,6 +369,17 @@ def stepwise_region_delays(values, k):
 @example([Q(5, 3), Q(1, 4), Q(11, 4), Q(1)], 2)
 def test_region_delays_equal_stepwise_increments(values, k):
     assert region_delays(values, k) == stepwise_region_delays(values, k)
+    unit = scale_lcm(values)
+    scaled = [int(v * unit) for v in values]
+    assert region_delay_count(scaled, unit, k) == len(scaled_region_delays(scaled, unit, k))
+    assert region_delay_count(scaled, unit, k) == len(region_delays(values, k))
+
+
+@given(clock_sets, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
+def test_scaled_canonical_word_equals_fraction_word(c, k, refine):
+    unit = scale_lcm(v for _, v in c) * refine
+    scaled = {(n, int(v * unit)) for n, v in c}
+    assert scaled_canonical_word(scaled, unit, k) == canonical_word(c, k)
 
 
 def fraction_value_map(values, k):
