@@ -235,13 +235,13 @@ def make_ata(
     )
 
 
-def time_step(g: Configuration, d, scale: int = 1) -> Configuration:
-    """All clock values advanced by d; with `scale`, the values are first
-    multiplied by it, moving them to a unit `scale` times finer (d is over
+def time_step(g: Configuration, d, refine: int = 1) -> Configuration:
+    """All clock values advanced by d; with `refine`, the values are first
+    multiplied by it, moving them to a unit `refine` times finer (d is over
     that finer unit)."""
     if d < 0:
         raise ValueError("time increments must be non-negative")
-    return frozenset((loc, v * scale + d) for loc, v in g)
+    return frozenset((loc, v * refine + d) for loc, v in g)
 
 
 def symbol_step(

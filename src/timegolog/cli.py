@@ -7,12 +7,12 @@ and `ata-dump` prints the automaton compiled from a formula.  Exit codes:
 0 for positive verdicts (safe / controller exists / trace found / word
 satisfies), 1 for negative verdicts, 2 for usage or input errors.
 
-Rational constants are accepted everywhere, and every reported time and
-constant is in the units of the inputs.  For `verify` and `synth`,
-`synthesis.build_problem` scales the theory, the program and the spec to
-natural constants, and its maximal constant also counts the program's
-tests; for `transform`, the platform and the constraints are scaled when
-they are loaded.
+Clock constants in guards, tests, invariants and initial clock values may
+be rationals ("p/q"); interval endpoints in formulas and constraints are
+naturals.  Every reported time and constant is in the units of the inputs:
+each pipeline scales its own inputs to natural constants and scales its
+results back, `synthesis.build_problem` for `verify` and `synth` and
+`plantrans.transform_plan` for `transform`.
 """
 
 from __future__ import annotations
@@ -21,20 +21,12 @@ import argparse
 import json
 import sys
 from fnmatch import fnmatchcase
-from fractions import Fraction
 
 from . import __version__, ata, mtl, plantrans, synthesis
 from .golog import InputError, ModelError
-from .parsing import (
-    ground_atom_checker,
-    load_bat,
-    load_program,
-    load_ta,
-    parse_mtl,
-    ta_constants,
-)
+from .parsing import ground_atom_checker, load_bat, load_program, load_ta, parse_mtl
 from .sexpr import ParseError
-from .temporal import ResourceError, format_fraction, scale_lcm
+from .temporal import ResourceError, format_fraction
 from .timed_automata import ta_to_dot, ta_to_json
 
 
@@ -60,11 +52,8 @@ def _formula_arg(text_or_path: str, bat=None):
     return mtl.formula_from_json(json.loads(body))
 
 
-def _trace_json(trace, scale: int = 1):
-    return [
-        {"action": action, "t": format_fraction(Fraction(t) / scale)}
-        for action, t in trace
-    ]
+def _trace_json(trace):
+    return [{"action": action, "t": format_fraction(t)} for action, t in trace]
 
 
 def _emit(args, payload: dict, text: str):
@@ -126,11 +115,10 @@ def cmd_synth(args) -> int:
         controller_ta = controller.to_ta()
         if args.out:
             with open(args.out, "w") as handle:
-                json.dump(ta_to_json(controller_ta, problem.scale), handle,
-                          indent=2, sort_keys=True)
+                json.dump(ta_to_json(controller_ta), handle, indent=2, sort_keys=True)
         if args.dot:
             with open(args.dot, "w") as handle:
-                handle.write(ta_to_dot(controller_ta, problem.scale))
+                handle.write(ta_to_dot(controller_ta))
         info["locations"] = len(controller.locations)
         info["edges"] = len(controller.edges)
         info["increment_ties"] = len(controller.tie_warnings)
@@ -155,15 +143,12 @@ def cmd_synth(args) -> int:
 
 def cmd_transform(args) -> int:
     plan = plantrans.plan_from_json(_read_json(args.plan))
-    platform_obj = _read_json(args.platform)
+    platform = load_ta(_read_json(args.platform))
     constraints = plantrans.constraints_from_json(_read_json(args.constraints))
-    scale = scale_lcm(ta_constants(platform_obj))
-    platform = load_ta(platform_obj, scale)
-    constraints = plantrans.scale_constraints(constraints, scale)
     if args.dot:
         enc = plantrans.build_encoding(plan, platform, constraints)
         with open(args.dot, "w") as handle:
-            handle.write(ta_to_dot(enc, scale))
+            handle.write(ta_to_dot(enc))
     trace = plantrans.transform_plan(plan, platform, constraints)
     if trace is None:
         _emit(args, {"verdict": "unrealizable"}, "plan not realizable under the constraints")
@@ -172,7 +157,7 @@ def cmd_transform(args) -> int:
         _emit(args, {"verdict": "internal-error"},
               "internal error: transformed trace failed validation")
         return 2
-    payload = {"verdict": "trace", "trace": _trace_json(trace, scale)}
+    payload = {"verdict": "trace", "trace": _trace_json(trace)}
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -183,6 +168,8 @@ def cmd_transform(args) -> int:
 def cmd_mtl_check(args) -> int:
     spec = _formula_arg(args.spec)
     word = mtl.TimedWord.from_json(_read_json(args.word))
+    if not word:
+        raise ValueError("the timed word is empty")
     result = mtl.satisfies(word, 0, spec)
     _emit(args, {"satisfies": result}, "satisfies" if result else "does not satisfy")
     return 0 if result else 1
@@ -265,7 +252,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ModelError, ParseError, ValueError, OSError, ResourceError) as err:
+    except (InputError, ModelError, ParseError, ValueError, OSError, ResourceError,
+            RecursionError) as err:  # RecursionError: inputs nested too deeply
         print(f"error: {err}", file=sys.stderr)
         return 2
 

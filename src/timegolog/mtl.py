@@ -334,12 +334,21 @@ class TimedWord:
 
     @staticmethod
     def from_json(obj) -> "TimedWord":
-        return TimedWord(
-            tuple(
-                (frozenset(e["symbols"]), as_fraction(e["t"]))
-                for e in obj
-            )
-        )
+        """Word from a list of {"t": int or "p/q", "symbols": [names]};
+        ValueError on any other shape."""
+
+        def ok(e) -> bool:
+            return (isinstance(e, dict) and type(e.get("t")) in (int, str)
+                    and isinstance(e.get("symbols"), list)
+                    and all(isinstance(name, str) for name in e["symbols"]))
+
+        if not (isinstance(obj, list) and all(map(ok, obj))):
+            raise ValueError('timed word JSON must be a list of {"t": int or "p/q", '
+                             '"symbols": [names]} entries')
+        try:
+            return TimedWord(tuple((frozenset(e["symbols"]), Fraction(e["t"])) for e in obj))
+        except ZeroDivisionError:
+            raise ValueError("a time of the timed word has denominator 0") from None
 
 
 def word(*entries) -> TimedWord:

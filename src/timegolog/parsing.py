@@ -32,7 +32,7 @@ from .golog import (
 )
 from .mtl import Interval, MtlFormula
 from .sexpr import ParseError, parse
-from .temporal import ClockConstraint, as_fraction
+from .temporal import ClockConstraint, as_fraction, exact
 from .timed_automata import Switch, TimedAutomaton, make_ta
 
 RELS = ("<", "<=", "=", ">=", ">")
@@ -240,7 +240,8 @@ def ground_atom_checker(bat: Bat) -> Callable[[str], None]:
 
 
 def parse_guard_atoms(text_or_expr) -> tuple:
-    """Guard atoms (clock, rel, Fraction); conjunction-only grammar."""
+    """Guard atoms (clock, rel, constant), a constant an int when integral
+    and a Fraction otherwise; conjunction-only grammar."""
     expr = parse(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
     atoms = []
 
@@ -254,22 +255,12 @@ def parse_guard_atoms(text_or_expr) -> tuple:
                 walk(x)
             return
         if e[0] in RELS and len(e) == 3 and isinstance(e[1], str) and _is_number(e[2]):
-            atoms.append((e[1], e[0], as_fraction(e[2])))
+            atoms.append((e[1], e[0], exact(Fraction(e[2]))))
             return
         raise InputError(f"malformed clock constraint {e!r}")
 
     walk(expr)
     return tuple(atoms)
-
-
-def guard_to_constraint(atoms, scale: int = 1) -> ClockConstraint:
-    out = []
-    for clock, rel, const in atoms:
-        scaled = const * scale
-        if scaled.denominator != 1:
-            raise InputError(f"constant {const} is not integral at scale {scale}")
-        out.append((clock, rel, int(scaled)))
-    return ClockConstraint(tuple(out))
 
 
 # --- theories ---------------------------------------------------------------------
@@ -511,40 +502,29 @@ def _check_ta_json(obj) -> None:
         )
 
 
-def load_ta(obj: dict, scale: int = 1) -> TimedAutomaton:
+def load_ta(obj: dict) -> TimedAutomaton:
+    """Timed automaton from the JSON form `ta_to_json` writes; its constants
+    stay in the units of the input."""
     _check_ta_json(obj)
-    locations = tuple(obj["locations"])
     invariants = {
-        loc: guard_to_constraint(parse_guard_atoms(text), scale)
+        loc: ClockConstraint(parse_guard_atoms(text))
         for loc, text in obj.get("invariants", {}).items()
     }
-    invariants = {l: g for l, g in invariants.items() if g.atoms}
     switches = tuple(
         Switch(
             sw["src"],
             sw["label"],
-            guard_to_constraint(parse_guard_atoms(sw.get("guard", "true")), scale),
+            ClockConstraint(parse_guard_atoms(sw.get("guard", "true"))),
             frozenset(sw.get("resets", ())),
             sw["dst"],
         )
         for sw in obj.get("switches", ())
     )
     return make_ta(
-        locations,
+        tuple(obj["locations"]),
         obj["initial"],
         obj.get("finals", ()),
         tuple(obj.get("clocks", ())),
-        invariants,
+        {l: g for l, g in invariants.items() if g.atoms},
         switches,
     )
-
-
-def ta_constants(obj: dict):
-    """Rational constants mentioned by a timed-automaton JSON object."""
-    _check_ta_json(obj)
-    for text in obj.get("invariants", {}).values():
-        for _, _, const in parse_guard_atoms(text):
-            yield const
-    for sw in obj.get("switches", ()):
-        for _, _, const in parse_guard_atoms(sw.get("guard", "true")):
-            yield const

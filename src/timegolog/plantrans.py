@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import mtl
 from .mtl import Atom, Interval, MtlFormula, TimedWord
-from .temporal import ClockConstraint, Window, eval_constraint
+from .temporal import ClockConstraint, Window, eval_constraint, scale_lcm
 from .timed_automata import (
     EPSILON,
     Switch,
@@ -260,15 +260,17 @@ def enforce_chain(
     platform action.
     """
     s, e = activation.s, activation.e
-    context = {loc for loc in a.locations if s <= plan_index(loc) < e}
+    # ordered sets (dicts) in the order of a.locations, so that the stage
+    # locations come out in the same order on every run
+    context = dict.fromkeys(loc for loc in a.locations if s <= plan_index(loc) < e)
     if not context:
         raise PlanConstraintError(f"activation ({s},{e}) has an empty context")
     stages = []
     for j, (beta, _) in enumerate(chain.stages, start=1):
-        kept = {
+        kept = dict.fromkeys(
             loc for loc in context
             if _beta_holds(beta, platform_location(loc, platform_names))
-        }
+        )
         if not kept:
             raise PlanConstraintError(
                 f"chain stage {j} matches no platform location within "
@@ -338,7 +340,12 @@ def transform_plan(
 ) -> Optional[tuple]:
     """Timed realization of the plan interleaved with platform actions, or
     None when the constraints are unsatisfiable.  The platform automaton is
-    ε-augmented automatically; ε never shows up in the result."""
+    ε-augmented automatically; ε never shows up in the result.
+
+    Platform constants may be rationals; constraint intervals are naturals.
+    The zones run on the encoding with every constant multiplied by the lcm
+    of the platform's denominators, and the times found are divided by it,
+    so the result is in the units of the inputs."""
     shared = set(plan.actions) & {str(sw.label) for sw in platform.switches}
     if shared:
         raise ValueError(f"plan actions collide with platform labels: {sorted(shared)}")
@@ -348,11 +355,11 @@ def transform_plan(
                 f"platform switch {sw} uses the label {EPSILON}, which is reserved "
                 "for self-loops without guard or resets"
             )
-    enc = build_encoding(plan, platform, constraints)
-    run = zone_reach(enc)
+    scale = scale_lcm(platform.constants())
+    run = zone_reach(build_encoding(plan, platform, constraints).scaled(scale))
     if run is None:
         return None
-    return run_to_timed_word(run)
+    return tuple((label, t / scale) for label, t in run_to_timed_word(run))
 
 
 def build_encoding(
@@ -669,16 +676,3 @@ def mtl_from_beta(text: str) -> MtlFormula:
     from .parsing import parse_mtl
 
     return parse_mtl(text)
-
-
-def scale_constraints(cs: ConstraintSet, factor: int) -> ConstraintSet:
-    if factor == 1:
-        return cs
-    return ConstraintSet(
-        tuple(Abs(c.i, c.interval.scaled(factor)) for c in cs.abs),
-        tuple(Rel(c.i, c.j, c.interval.scaled(factor)) for c in cs.rel),
-        tuple(
-            Chain(tuple((b, iv.scaled(factor)) for b, iv in c.stages), c.alpha1, c.alpha2)
-            for c in cs.chain
-        ),
-    )

@@ -704,8 +704,8 @@ def check_for_controller(
 ):
     """Whether a controller avoiding the undesired behavior exists; returns
     (verdict, labeled graph, problem) so a controller can be extracted.  The
-    problem's clock constants, and so the controller's guards, are those of
-    the inputs multiplied by `problem.scale`."""
+    problem's clock constants, and so the guards of the controller's edges,
+    are those of the inputs multiplied by `problem.scale`."""
     problem = build_problem(bat, program, spec)
     graph = build_graph(
         problem, budget=budget,
@@ -848,6 +848,8 @@ class Controller:
         return list(self._by_source.get(location, ()))
 
     def to_ta(self):
+        """The controller as a timed automaton, its guards in the units of
+        the inputs."""
         from .timed_automata import Switch, make_ta
 
         switches = [
@@ -864,7 +866,7 @@ class Controller:
             clocks=self.problem.bat.clocks,
             invariants={},
             switches=switches,
-        )
+        ).scaled(Fraction(1, self.problem.scale))
 
 
 def _region_guard(problem: Problem, state: DetState, delay: int) -> ClockConstraint:

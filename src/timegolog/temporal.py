@@ -39,7 +39,15 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def format_fraction(x: Fraction) -> str:
+def exact(x) -> int | Fraction:
+    """An int or a Fraction as an int when integral, unchanged otherwise;
+    anything else, floats included, is rejected."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"constraint constant must be an exact rational, got {x!r}")
+    return int(x) if x.denominator == 1 else x
+
+
+def format_fraction(x: int | Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -61,25 +69,30 @@ def compare(value: Fraction, rel: str, const: Fraction) -> bool:
 class ClockConstraint:
     """Conjunction of atoms ``clock rel constant``; the empty conjunction is true.
 
-    Constants are naturals.  Rational inputs are scaled by `scale_lcm` of
-    their constants where they enter: in `synthesis.build_problem` for
-    verification and synthesis, at load time for plan transformation.
+    Constants are non-negative exact rationals: an int when integral, a
+    Fraction otherwise.  The engines need natural constants, so each pipeline
+    scales its own inputs by `scale_lcm` of their constants, in one place:
+    `synthesis.build_problem` for verification and synthesis,
+    `plantrans.transform_plan` for plan transformation.
     """
 
-    atoms: tuple[tuple[str, str, int], ...] = ()
+    atoms: tuple[tuple[str, str, int | Fraction], ...] = ()
 
     def __post_init__(self):
+        if any(type(k) is not int for _, _, k in self.atoms):
+            object.__setattr__(self, "atoms", tuple((c, r, exact(k)) for c, r, k in self.atoms))
         for clock, rel, const in self.atoms:
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-            if not isinstance(const, int) or const < 0:
-                raise ValueError(f"constraint constant must be a natural, got {const!r}")
+            if const < 0:
+                raise ValueError(f"constraint constant must be non-negative, got {const}")
 
     def clocks(self) -> frozenset[str]:
         return frozenset(clock for clock, _, _ in self.atoms)
 
-    def max_constant(self) -> int:
-        return max((const for _, _, const in self.atoms), default=0)
+    def scaled(self, factor) -> "ClockConstraint":
+        """Every constant multiplied by a positive rational factor."""
+        return ClockConstraint(tuple((c, rel, k * factor) for c, rel, k in self.atoms))
 
     def conjoin(self, other: "ClockConstraint") -> "ClockConstraint":
         return ClockConstraint(self.atoms + other.atoms)
@@ -160,7 +173,7 @@ def eval_constraint(valuation: Mapping[str, Fraction], g: ClockConstraint) -> bo
     for clock, rel, const in g.atoms:
         if clock not in valuation:
             raise KeyError(f"unknown clock {clock!r} in constraint")
-        if not compare(valuation[clock], rel, Fraction(const)):
+        if not compare(valuation[clock], rel, const):
             return False
     return True
 

@@ -1,12 +1,13 @@
 """Timed automata, parallel composition, and zone-based reachability.
 
-Zones are difference bound matrices over the declared clocks plus the zero
-reference; all bounds are integers (rational inputs are scaled when they
-are loaded, and `ta_to_json` and `ta_to_dot` divide by the scale), emptiness
-and inclusion are decided on the canonical form.  The reachability search
-stores delay-closed zones and returns a concrete run: a switch sequence
-with exact rational delays chosen inside the feasible zone chain, replayed
-before it is returned.
+Automata may carry rational constants; zones take integers only, so a
+caller scales an automaton with `TimedAutomaton.scaled` before its zones
+are explored (`plantrans.transform_plan` does) and divides the times it
+gets back.  Zones are difference bound matrices over the declared clocks
+plus the zero reference; emptiness and inclusion are decided on the
+canonical form.  The reachability search stores delay-closed zones and
+returns a concrete run: a switch sequence with exact rational delays
+chosen inside the feasible zone chain, replayed before it is returned.
 
 A matrix is a flat row-major list of Python integers with bounds packed
 into them: a bound "difference <= v" is 2v+1, "difference < v" is 2v, and
@@ -23,7 +24,7 @@ path through any DBM that fits in memory reaches INF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import le
 from typing import Hashable, Iterable, Optional
@@ -34,7 +35,6 @@ from .temporal import (
     TRUE_CONSTRAINT,
     Window,
     eval_constraint,
-    format_fraction,
 )
 
 EPSILON = "ε"
@@ -148,9 +148,9 @@ class Zone:
                         m[a + b] = s
 
     def _apply_atom(self, clock: str, rel: str, const: int):
-        if abs(const) > MAX_CONSTANT:
-            raise ValueError(
-                f"clock constant {const} exceeds the supported magnitude 2**40"
+        if not isinstance(const, int) or abs(const) > MAX_CONSTANT:
+            raise ValueError(  # rational automata are scaled before zones are built
+                f"clock constant {const} is not an integer, or exceeds 2**40"
             )
         i = self._index[clock]
         if rel in ("<", "<="):
@@ -332,13 +332,24 @@ class TimedAutomaton:
     def invariant(self, loc) -> ClockConstraint:
         return self.invariants.get(loc, TRUE_CONSTRAINT)
 
-    def max_constant(self) -> int:
-        k = 0
-        for sw in self.switches:
-            k = max(k, sw.guard.max_constant())
-        for inv in self.invariants.values():
-            k = max(k, inv.max_constant())
-        return k
+    def constants(self):
+        """The constants of every guard and invariant."""
+        for g in (*(sw.guard for sw in self.switches), *self.invariants.values()):
+            yield from (const for _, _, const in g.atoms)
+
+    def max_constant(self):
+        return max(self.constants(), default=0)
+
+    def scaled(self, factor) -> "TimedAutomaton":
+        """Every constant multiplied by a positive rational factor; the
+        automaton itself at factor 1."""
+        if factor == 1:
+            return self
+        return TimedAutomaton(
+            self.locations, self.initial, self.finals, self.clocks,
+            {l: g.scaled(factor) for l, g in self.invariants.items()},
+            tuple(replace(sw, guard=sw.guard.scaled(factor)) for sw in self.switches),
+        )
 
     def with_epsilon_loops(self) -> "TimedAutomaton":
         """Self-looping ε switch on every location (idempotent)."""
@@ -555,28 +566,22 @@ def loc_str(loc) -> str:
     return str(loc)
 
 
-def _atom_texts(g: ClockConstraint, scale: int) -> list:
-    """(clock, rel, constant text) per atom, the constant divided by scale."""
-    return [(c, rel, format_fraction(Fraction(k, scale))) for c, rel, k in g.atoms]
-
-
-def constraint_to_sexpr(g: ClockConstraint, scale: int = 1) -> str:
+def constraint_to_sexpr(g: ClockConstraint) -> str:
     if not g.atoms:
         return "true"
-    parts = [f"({rel} {clock} {const})" for clock, rel, const in _atom_texts(g, scale)]
+    parts = [f"({rel} {clock} {k})" for clock, rel, k in g.atoms]
     return parts[0] if len(parts) == 1 else "(and " + " ".join(parts) + ")"
 
 
-def ta_to_json(ta: TimedAutomaton, scale: int = 1) -> dict:
-    """JSON form of the automaton; constants are divided by `scale`, the
-    factor the automaton's inputs were multiplied by."""
+def ta_to_json(ta: TimedAutomaton) -> dict:
+    """JSON form of the automaton, the form `parsing.load_ta` reads."""
     return {
         "locations": [loc_str(l) for l in ta.locations],
         "initial": loc_str(ta.initial),
         "finals": sorted(loc_str(l) for l in ta.finals),
         "clocks": list(ta.clocks),
         "invariants": {
-            loc_str(l): constraint_to_sexpr(inv, scale) for l, inv in sorted(
+            loc_str(l): constraint_to_sexpr(inv) for l, inv in sorted(
                 ta.invariants.items(), key=lambda kv: loc_str(kv[0])
             )
         },
@@ -584,7 +589,7 @@ def ta_to_json(ta: TimedAutomaton, scale: int = 1) -> dict:
             {
                 "src": loc_str(sw.src),
                 "label": sw.label,
-                "guard": constraint_to_sexpr(sw.guard, scale),
+                "guard": constraint_to_sexpr(sw.guard),
                 "resets": sorted(sw.resets),
                 "dst": loc_str(sw.dst),
             }
@@ -593,24 +598,21 @@ def ta_to_json(ta: TimedAutomaton, scale: int = 1) -> dict:
     }
 
 
-def ta_to_dot(ta: TimedAutomaton, scale: int = 1) -> str:
-    """DOT drawing of the automaton; constants are divided by `scale`."""
-    def text(g: ClockConstraint) -> str:
-        return " & ".join(f"{c} {rel} {k}" for c, rel, k in _atom_texts(g, scale)) or "true"
-
+def ta_to_dot(ta: TimedAutomaton) -> str:
+    """DOT drawing of the automaton."""
     lines = ["digraph ta {", "  rankdir=LR;"]
     for loc in ta.locations:
         name = loc_str(loc)
         shape = "doublecircle" if loc in ta.finals else "circle"
         inv = ta.invariants.get(loc)
-        label = name if inv is None else f"{name}\\n{text(inv)}"
+        label = name if inv is None else f"{name}\\n{inv}"
         lines.append(f'  "{name}" [shape={shape}, label="{label}"];')
     lines.append(f'  "__init" [shape=point];')
     lines.append(f'  "__init" -> "{loc_str(ta.initial)}";')
     for sw in ta.switches:
         parts = [sw.label]
         if sw.guard.atoms:
-            parts.append(text(sw.guard))
+            parts.append(str(sw.guard))
         if sw.resets:
             parts.append(", ".join(f"{c}:=0" for c in sorted(sw.resets)))
         label = " / ".join(parts)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -9,7 +12,7 @@ from timegolog import mtl, plantrans, synthesis, timed_automata
 from timegolog.cli import main, parse_formula_text
 from timegolog.golog import InputError
 from timegolog.mtl import Atom, And, Interval, Not, TRUE, Until, finally_
-from timegolog.parsing import load_bat, load_program, parse_guard_atoms, parse_mtl
+from timegolog.parsing import load_bat, load_program, parse_mtl
 from timegolog.timed_automata import ta_to_json
 
 from fixtures import (
@@ -21,6 +24,7 @@ from fixtures import (
 from oracles import is_execution
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CAMERA_SPEC_TEXT = (
     "(or (finally (and (not camOn) grasping))"
@@ -123,6 +127,18 @@ class TestMtlCheck:
         word = tmp_path / "word.json"
         word.write_text(json.dumps([{"t": "0", "symbols": []}]))
         assert main(["mtl-check", "--spec", "(until p", "--word", str(word)]) == 2
+
+    @pytest.mark.parametrize("word_obj", [
+        [1], {"a": 1}, [{"symbols": []}], [{"t": "1/0", "symbols": []}],
+        [{"t": 1.5, "symbols": []}], [{"t": True, "symbols": []}],
+        [{"t": 1, "symbols": "ab"}], [{"t": 1, "symbols": [2]}], [],
+    ])
+    def test_malformed_word_is_usage_error(self, tmp_path, capsys, word_obj):
+        word = tmp_path / "word.json"
+        word.write_text(json.dumps(word_obj))
+        assert main(["mtl-check", "--spec", "(finally p)", "--word", str(word)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestAtaDump:
@@ -287,17 +303,25 @@ class TestSynth:
             parse_formula_text(CAMERA_SPEC_TEXT, bat), controllable,
         )
         assert result and problem.scale == 2
-        internal = synthesis.extract_controller(problem, graph, controllable).to_ta()
-        expected = sorted((sw.src, sw.label, sw.dst, sw.guard.atoms)
-                          for sw in internal.switches)
-        written = sorted(
-            (sw["src"], sw["label"], sw["dst"], tuple(
-                (clock, rel, const * problem.scale)
-                for clock, rel, const in parse_guard_atoms(sw["guard"])
+        controller = synthesis.extract_controller(problem, graph, controllable)
+        ta = controller.to_ta()
+        assert json.loads(out.read_text()) == ta_to_json(ta)
+        # the controller's edges keep the region guards of the scaled search;
+        # its automaton divides their constants by the scale
+        internal = []
+        for e in controller.edges:
+            node = graph.node(e.source)
+            region = synthesis._region_guard(problem, node.state, node.delays[e.incr_index])
+            assert e.guard == region
+            internal.append((f"n{e.source}", e.action, f"n{e.target}", region.atoms))
+        written = [
+            (sw.src, sw.label, sw.dst, tuple(
+                (clock, rel, const * problem.scale) for clock, rel, const in sw.guard.atoms
             ))
-            for sw in json.loads(out.read_text())["switches"]
-        )
-        assert written == expected
+            for sw in ta.switches
+        ]
+        assert written == internal
+        assert any(const == Fraction(1, 2) for sw in ta.switches for _, _, const in sw.guard.atoms)
         assert "c_boot = 1/2" in dot.read_text()
 
     def test_impossible_spec_exits_one(self, camera_files, tmp_path, capsys):
@@ -478,6 +502,51 @@ def test_identical_invocations_are_byte_identical(transform_files, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_transform_dot_is_the_same_under_any_hash_seed(transform_files, tmp_path):
+    # chain stages used to list their locations in set order, which follows
+    # the string hash seed
+    drawings = []
+    for seed in ("1", "2"):
+        dot = tmp_path / f"enc{seed}.dot"
+        done = subprocess.run(
+            [sys.executable, "-m", "timegolog.cli", "transform",
+             "--plan", transform_files["plan"], "--platform", transform_files["platform"],
+             "--constraints", transform_files["constraints"], "--dot", str(dot)],
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        drawings.append(dot.read_bytes())
+    assert drawings[0] == drawings[1]
+
+
+def test_deep_nesting_is_a_usage_error(camera_files, tmp_path, capsys):
+    # past the recursion limit the loaders fail; that is an input error
+    # (exit 2), not a traceback whose exit 1 reads as a negative verdict
+    program = '{"act": "start(bootCamera)"}'
+    for _ in range(1200):
+        program = '{"seq": [' + program + "]}"
+    (tmp_path / "deep.json").write_text(program)
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps([{"t": 0, "symbols": []}]))
+    for argv in (
+        ["verify", "--bat", camera_files["bat"], "--program", str(tmp_path / "deep.json"),
+         "--spec", "(finally camOn)"],
+        ["mtl-check", "--spec", "(not " * 1200 + "p" + ")" * 1200, "--word", str(word)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_commands_import_without_numpy():
+    code = ("import sys; import timegolog.cli, timegolog.synthesis, timegolog.plantrans; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_version(capsys):

@@ -1,12 +1,14 @@
-"""Fuzzing the `transform`, `verify` and `synth` commands with random input
-files, well-formed and malformed: plans, constraints and platforms, or
-theories, programs and specs.  Whatever it reads, a command ends with a
-verdict (exit 0 or 1) or a one-line error (exit 2), never a traceback."""
+"""Fuzzing the `transform`, `verify`, `synth` and `mtl-check` commands with
+random input files, well-formed and malformed: plans, constraints and
+platforms, theories, programs and specs, or specs and timed words.  Whatever
+it reads, a command ends with a verdict (exit 0 or 1) or a one-line error
+(exit 2), never a traceback."""
 
 import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -229,3 +231,23 @@ def test_verify_ends_in_a_verdict_or_a_one_line_error(texts):
 @given(verify_inputs())
 def test_synth_ends_in_a_verdict_or_a_one_line_error(texts):
     run(["synth", "--budget", "150", "--controllable", "set_*", "--simulate", "2"], texts)
+
+
+# --- mtl-check: a spec and a timed word ---------------------------------------------
+
+
+@st.composite
+def mtl_inputs(draw):
+    entries = draw(st.lists(st.fixed_dictionaries({
+        "t": st.integers(0, 3) | st.sampled_from(("0", "1/2", "3/2", "2")),
+        "symbols": st.lists(st.sampled_from(("p0", "p1")), unique=True),
+    }), min_size=1, max_size=4))
+    entries.sort(key=lambda e: Fraction(e["t"]))
+    return broken(draw, {"spec": mtl.formula_to_json(draw(specs(["p0", "p1"]))),
+                         "word": entries})
+
+
+@settings(max_examples=200)
+@given(mtl_inputs())
+def test_mtl_check_ends_in_a_verdict_or_a_one_line_error(texts):
+    run(["mtl-check"], texts)

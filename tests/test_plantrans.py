@@ -25,7 +25,7 @@ from timegolog.plantrans import (
     validate_transformed,
 )
 from timegolog.synthesis import trace_to_word  # noqa: F401  (not used here)
-from timegolog.temporal import ClockConstraint
+from timegolog.temporal import ClockConstraint, scale_lcm
 from timegolog.timed_automata import Switch, make_ta, run_to_timed_word, zone_reach
 
 from fixtures import camera_platform_ta
@@ -326,6 +326,84 @@ class TestTransform:
         words_loose = region_language(build_encoding(plan, single, loose), 2)
         words_tight = region_language(build_encoding(plan, single, tight), 2)
         assert words_tight < words_loose
+
+
+def random_rational_problem(rng: random.Random):
+    """A plan of one to three actions, a platform of two or three locations
+    over clocks u and v whose constants are halves, thirds and quarters, and
+    absolute, relative and chain constraints with natural endpoints."""
+    locations = ("p0", "p1", "p2")[: rng.randint(2, 3)]
+
+    def guard(n):
+        return ClockConstraint(tuple(
+            (rng.choice("uv"), rng.choice(("<", "<=", "=", ">=", ">")),
+             Q(rng.randint(0, 12), rng.choice((1, 2, 3, 4))))
+            for _ in range(n)
+        ))
+
+    switches = [
+        Switch(rng.choice(locations), f"m{k}", guard(rng.randint(0, 2)),
+               frozenset(c for c in "uv" if rng.random() < 0.4), rng.choice(locations))
+        for k in range(rng.randint(1, 4))
+    ]
+    invariants = {l: guard(1) for l in locations[1:] if rng.random() < 0.3}
+    platform = make_ta(locations, "p0", locations, ("u", "v"), invariants, switches)
+
+    def interval():
+        lo = rng.randint(0, 3)
+        return Interval(lo, None if rng.random() < 0.3 else lo + rng.randint(0, 3),
+                        rng.random() < 0.2, rng.random() < 0.2)
+
+    n = rng.randint(1, 3)
+    plan = Plan(tuple(f"a{i}" for i in range(1, n + 1)))
+    abs_cs = tuple(Abs(rng.randint(1, n), interval()) for _ in range(rng.randint(0, 1)))
+    rel_cs = tuple(Rel(1, n, interval()) for _ in range(rng.randint(0, 1) if n > 1 else 0))
+    chains = ()
+    if n > 1 and rng.random() < 0.5:
+        betas = (TRUE, Atom("p0"), Atom("p1"), mtl.Not(Atom("p0")))
+        stages = tuple((rng.choice(betas), interval()) for _ in range(rng.randint(1, 2)))
+        chains = (Chain(stages, "a1", f"a{n}"),)
+    return plan, platform, ConstraintSet(abs_cs, rel_cs, chains)
+
+
+def scaled_constraints(cs: ConstraintSet, factor: int) -> ConstraintSet:
+    return ConstraintSet(
+        tuple(Abs(c.i, c.interval.scaled(factor)) for c in cs.abs),
+        tuple(Rel(c.i, c.j, c.interval.scaled(factor)) for c in cs.rel),
+        tuple(Chain(tuple((b, iv.scaled(factor)) for b, iv in c.stages), c.alpha1, c.alpha2)
+              for c in cs.chain),
+    )
+
+
+def test_transform_scales_in_one_place():
+    """transform_plan answers in the units of its inputs: on a platform with
+    rational constants and on the same problem multiplied by s it finds the
+    same trace, up to dividing the times by s.  For s dividing the lcm of
+    the platform's denominators both runs search the same natural-constant
+    automaton, so the traces agree exactly; for other s the zones are
+    multiples of each other, the verdicts agree and the scaled trace, divided
+    by s, is valid on the inputs."""
+    rng = random.Random(20241018)
+    realized = rational = 0
+    for _ in range(60):
+        plan, platform, cs = random_rational_problem(rng)
+        lcm = scale_lcm(platform.constants())
+        rational += lcm > 1
+        trace = transform_plan(plan, platform, cs)
+        if trace is not None:
+            realized += 1
+            assert validate_transformed(trace, plan, platform, cs), (plan, platform, cs)
+        for s in [d for d in range(1, lcm + 1) if lcm % d == 0] + [2 * lcm]:
+            got = transform_plan(plan, platform.scaled(s), scaled_constraints(cs, s))
+            assert (got is None) == (trace is None), (s, plan, platform, cs)
+            if got is None:
+                continue
+            unscaled = tuple((action, t / s) for action, t in got)
+            if lcm % s == 0:
+                assert unscaled == trace, (s, plan, platform, cs)
+            else:
+                assert validate_transformed(unscaled, plan, platform, cs), (s, plan, platform, cs)
+    assert 20 < realized < 60 and rational > 40  # both verdicts, mostly rational platforms
 
 
 class TestSilentCrossingReconstruction:

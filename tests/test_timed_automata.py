@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from timegolog import synthesis, timed_automata
-from timegolog.parsing import load_ta, parse_guard_atoms, guard_to_constraint
+from timegolog.parsing import load_ta, parse_guard_atoms
 from timegolog.temporal import ClockConstraint, ResourceError
 from timegolog.timed_automata import (
     EPSILON,
@@ -304,6 +304,31 @@ def test_constants_that_overflow_packed_bounds_are_rejected():
     assert run_to_timed_word(run) == (("go", Q(2 ** 40)),)
 
 
+def test_zones_reject_rational_constants():
+    # a rational constant reaching a zone fails loudly: the automaton must be
+    # scaled first, and scaling by the lcm of the denominators is exact
+    half = make_ta(("a", "b"), "a", ("b",), ("x",),
+                   switches=[Switch("a", "go", atoms(("x", ">=", Q(1, 2))), frozenset(), "b")])
+    with pytest.raises(ValueError, match="not an integer"):
+        zone_reach(half)
+    with pytest.raises(ValueError, match="not an integer"):
+        Zone.universal(("x",)).and_atom("x", "<", Q(1, 2))
+    doubled = half.scaled(2)
+    assert doubled.switches[0].guard == atoms(("x", ">=", 1))
+    assert type(doubled.max_constant()) is int
+    assert run_to_timed_word(zone_reach(doubled)) == (("go", Q(1)),)
+    assert doubled.scaled(Q(1, 2)) == half and half.scaled(1) is half
+
+
+def test_clock_constraints_hold_exact_rationals():
+    g = atoms(("x", "<", Q(4, 2)), ("y", ">", Q(1, 3)))
+    assert [type(k) for _, _, k in g.atoms] == [int, Q]
+    assert g.scaled(3) == atoms(("x", "<", 6), ("y", ">", 1))
+    for bad in (1.5, -1, Q(-1, 2), "1", True, None):
+        with pytest.raises(ValueError):
+            atoms(("x", "<", bad))
+
+
 def test_zone_budget_raises_resource_error():
     # a tick self-loop would map the delay-closed initial zone into itself,
     # so the tick goes through a second location: two zones, one over budget
@@ -483,15 +508,26 @@ class TestSerialization:
         assert again == ta
 
     def test_guard_parsing(self):
-        got = guard_to_constraint(parse_guard_atoms("(and (>= x 4) (<= x 6))"))
+        got = ClockConstraint(parse_guard_atoms("(and (>= x 4) (<= x 6))"))
         assert got == atoms(("x", ">=", 4), ("x", "<=", 6))
-        assert guard_to_constraint(parse_guard_atoms("true")) == ClockConstraint()
+        assert ClockConstraint(parse_guard_atoms("true")) == ClockConstraint()
+        # integral constants come out as ints, others as Fractions
+        assert parse_guard_atoms("(and (>= x 4/2) (< y 1/2))") == (
+            ("x", ">=", 2), ("y", "<", Q(1, 2)))
+        assert type(parse_guard_atoms("(>= x 4/2)")[0][2]) is int
 
-    def test_guard_scaling(self):
-        atoms_raw = parse_guard_atoms("(>= x 1/2)")
-        assert guard_to_constraint(atoms_raw, scale=2) == atoms(("x", ">=", 1))
-        with pytest.raises(Exception):
-            guard_to_constraint(atoms_raw, scale=1)
+    def test_rational_json_roundtrip(self):
+        ta = make_ta(
+            ("a", "b"), "a", ("b",), ("x", "y"),
+            invariants={"a": atoms(("x", "<=", Q(7, 3)))},
+            switches=[Switch("a", "go", atoms(("x", ">", Q(1, 2)), ("y", "=", 2)),
+                             frozenset({"y"}), "b")],
+        )
+        obj = ta_to_json(ta)
+        assert obj["invariants"] == {"a": "(<= x 7/3)"}
+        assert obj["switches"][0]["guard"] == "(and (> x 1/2) (= y 2))"
+        assert load_ta(obj) == ta
+        assert "x > 1/2 & y = 2" in ta_to_dot(ta)
 
     def test_dot_output(self):
         dot = ta_to_dot(camera_platform_ta())
