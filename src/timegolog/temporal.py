@@ -65,6 +65,11 @@ def compare(value: Fraction, rel: str, const: Fraction) -> bool:
     raise ValueError(f"unknown relation {rel!r}")
 
 
+# one frozenset per distinct set of clock names, shared by every constraint
+# that reads it: a synthesized controller holds thousands of region guards
+_CLOCK_SETS: dict = {}
+
+
 @dataclass(frozen=True)
 class ClockConstraint:
     """Conjunction of atoms ``clock rel constant``; the empty conjunction is true.
@@ -88,7 +93,14 @@ class ClockConstraint:
                 raise ValueError(f"constraint constant must be non-negative, got {const}")
 
     def clocks(self) -> frozenset[str]:
-        return frozenset(clock for clock, _, _ in self.atoms)
+        """The clocks the atoms read, computed on the first call and kept:
+        automata with thousands of switches ask for every guard's clocks."""
+        clocks = self.__dict__.get("_clocks")
+        if clocks is None:
+            clocks = frozenset(c for c, _, _ in self.atoms)
+            clocks = _CLOCK_SETS.setdefault(clocks, clocks)
+            object.__setattr__(self, "_clocks", clocks)
+        return clocks
 
     def scaled(self, factor) -> "ClockConstraint":
         """Every constant multiplied by a positive rational factor."""

@@ -5,9 +5,13 @@ caller scales an automaton with `TimedAutomaton.scaled` before its zones
 are explored (`plantrans.transform_plan` does) and divides the times it
 gets back.  Zones are difference bound matrices over the declared clocks
 plus the zero reference; emptiness and inclusion are decided on the
-canonical form.  The reachability search stores delay-closed zones and
-returns a concrete run: a switch sequence with exact rational delays
-chosen inside the feasible zone chain, replayed before it is returned.
+canonical form.  The reachability search stores delay-closed zones with
+every clock that is dead at the zone's location freed: a static liveness
+pass (`live_clocks`) finds the clocks a location reads again before
+resetting them, so zones that differ only in the others are stored and
+expanded once.  It returns a concrete run: a switch sequence with exact
+rational delays chosen inside the feasible zone chain on the automaton
+itself, replayed before it is returned.
 
 A matrix is a flat row-major list of Python integers with bounds packed
 into them: a bound "difference <= v" is 2v+1, "difference < v" is 2v, and
@@ -15,9 +19,10 @@ a large sentinel stands for infinity.  Packing makes bound addition and
 comparison single integer operations, and the matrices are small (one row
 per clock plus one), so plain loops that skip infinite entries beat array
 code.  Conjoining a guard closes the matrix incrementally, in O(n^2) per
-tightened bound (Bengtsson & Yi, 2004); the full O(n^3) Floyd-Warshall
-closure runs only after operations that loosen or merge bounds
-(intersection, past, freeing a clock, extrapolation).  Constants are
+tightened bound (Bengtsson & Yi, 2004).  Freeing a clock and the past
+closure keep a canonical matrix canonical in O(n) per clock, so the full
+O(n^3) Floyd-Warshall closure runs only after intersection and after
+extrapolation changes a bound.  Constants are
 limited to MAX_CONSTANT in magnitude, so no finite sum of bounds along a
 path through any DBM that fits in memory reaches INF.
 """
@@ -188,16 +193,22 @@ class Zone:
         return z
 
     def down(self) -> "Zone":
-        """Past closure intersected with non-negative clocks."""
+        """Past closure intersected with non-negative clocks: going back in
+        time stops when some clock reaches 0, so each clock keeps only the
+        lower bound its differences to the other clocks imply.  Input
+        canonical and non-empty; the result is canonical as it stands
+        (Bengtsson & Yi, 2004)."""
         z = self.copy()
         m = z.m
         n = len(self.clocks) + 1
         for j in range(1, n):
             m[j] = min(LE_ZERO, min(m[n + j::n]))
-        return z.canonicalized()
+        return z
 
     def reset(self, names: Iterable[str]) -> "Zone":
         """Zero the given clocks (input must be canonical; stays canonical)."""
+        if not names:
+            return self
         z = self.copy()
         m = z.m
         n = len(self.clocks) + 1
@@ -209,7 +220,15 @@ class Zone:
         return z
 
     def free(self, names: Iterable[str]) -> "Zone":
-        """Remove all constraints on the given clocks except non-negativity."""
+        """Remove all constraints on the given clocks except non-negativity.
+
+        The input must be canonical and non-empty.  A freed clock x gets no
+        upper bound (row x := infinity) and x_j - x is bounded as x_j is
+        (column x := column 0); on a canonical matrix the result is
+        canonical as it stands (Bengtsson & Yi, 2004), so freeing costs
+        O(n) per clock and no closure."""
+        if not names:
+            return self
         z = self.copy()
         m = z.m
         n = len(self.clocks) + 1
@@ -218,7 +237,7 @@ class Zone:
             m[y * n:(y + 1) * n] = [INF] * n
             m[y::n] = m[::n]
             m[y] = m[y * n + y] = LE_ZERO
-        return z.canonicalized()
+        return z
 
     def reset_pre(self, names: Iterable[str]) -> "Zone":
         """Weakest pre-zone of a reset: valuations landing here after zeroing."""
@@ -319,8 +338,7 @@ class TimedAutomaton:
             raise ValueError("initial location not declared")
         declared = set(self.clocks)
         for sw in self.switches:
-            used = sw.guard.clocks() | sw.resets
-            if not used <= declared:
+            if not (sw.guard.clocks() <= declared and sw.resets <= declared):
                 raise ValueError(f"switch {sw} uses undeclared clocks")
         for loc, inv in self.invariants.items():
             if not inv.clocks() <= declared:
@@ -448,6 +466,48 @@ def run_to_timed_word(run: Run) -> tuple:
     return tuple(out)
 
 
+def live_clocks(ta: TimedAutomaton) -> list:
+    """Bitmask of the clocks live at each location, in the order of
+    ta.locations; bit i stands for ta.clocks[i].
+
+    A clock is live at l when l's invariant reads it, when a guard of a
+    switch leaving l reads it, or when it is live at the target of a switch
+    leaving l that does not reset it (Daws & Yovine, 1996).  The backward
+    fixpoint runs on bitmasks: a location is revisited only when its mask
+    grows, so the pass is linear in switches x clocks.  A dead clock's value
+    is never read before it is reset, so freeing it loses no run."""
+    index = {l: i for i, l in enumerate(ta.locations)}
+    bit = {c: 1 << i for i, c in enumerate(ta.clocks)}
+    everything = (1 << len(ta.clocks)) - 1
+    masks = {}  # clock set -> bitmask, once per distinct set
+
+    def mask(clocks) -> int:
+        m = masks.get(clocks)
+        if m is None:
+            m = masks[clocks] = sum(bit[c] for c in clocks)
+        return m
+
+    live = [0] * len(index)
+    for l, inv in ta.invariants.items():
+        live[index[l]] = mask(inv.clocks())
+    into = [[] for _ in live]  # target -> [(source, mask of the clocks kept)]
+    for sw in ta.switches:
+        src = index[sw.src]
+        live[src] |= mask(sw.guard.clocks())
+        if sw.resets or sw.src != sw.dst:  # a plain self-loop adds nothing
+            into[index[sw.dst]].append((src, everything ^ mask(sw.resets)))
+    stack = list(range(len(live)))
+    while stack:
+        dst = stack.pop()
+        out = live[dst]
+        for src, kept in into[dst]:
+            grown = live[src] | (out & kept)
+            if grown != live[src]:
+                live[src] = grown
+                stack.append(src)
+    return live
+
+
 def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
     """Breadth-first zone exploration; returns one accepting run with
     concrete delays, replayed on the automaton, or None when no final
@@ -455,53 +515,68 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
 
     Stored zones are delay-closed: a node holds every valuation reachable
     by letting time pass in its location, and a successor under switch
-    (g, r, dst) is up(reset_r(Z ∧ g) ∧ inv_dst) ∧ inv_dst, extrapolated.
-    A self-loop without guard or resets maps such a zone into itself, so
-    it is never taken."""
+    (g, r, dst) is free_D(up(reset_r(Z ∧ g) ∧ inv_dst) ∧ inv_dst),
+    extrapolated, where D holds the clocks dead at dst (`live_clocks`).
+    Zones that differ only in dead clocks are thereby one zone.  A
+    self-loop without guard or resets maps such a zone into itself, so it
+    is never taken.  The witness is extracted and replayed on the automaton
+    itself, with no clock freed."""
     from collections import deque
 
     k = ta.max_constant()
-    switches_from = {}
+    # locations by their index in ta.locations: product locations are
+    # nested tuples, whose hash is recomputed on every lookup
+    index = {l: i for i, l in enumerate(ta.locations)}
+    invariant = [ta.invariant(l) for l in ta.locations]
+    final = [l in ta.finals for l in ta.locations]
+    live = live_clocks(ta)
+    names = {
+        mask: tuple(c for i, c in enumerate(ta.clocks) if not mask >> i & 1)
+        for mask in set(live)
+    }
+    dead = [names[mask] for mask in live]
+    switches_from = [[] for _ in ta.locations]  # in switch index order
     for idx, sw in enumerate(ta.switches):
         if sw.src == sw.dst and not sw.guard.atoms and not sw.resets:
             continue
-        switches_from.setdefault(sw.src, []).append((idx, sw))
+        switches_from[index[sw.src]].append((idx, sw.guard, sw.resets, index[sw.dst]))
 
-    inv0 = ta.invariant(ta.initial)
+    start = index[ta.initial]
+    inv0 = invariant[start]
     init = Zone.zero(ta.clocks).and_constraint(inv0)
     if init.is_empty():
         return None
-    init = init.up().and_constraint(inv0)
-    # node: (loc, zone); parents: node id -> (parent id, switch index)
-    nodes = [(ta.initial, init)]
+    init = init.up().and_constraint(inv0).free(dead[start])
+    # node: (location index, zone); parents: node id -> (parent id, switch index)
+    nodes = [(start, init)]
     parents = {0: None}
-    stored = {ta.initial: [init]}
+    stored = {start: [init]}
     queue = deque([0])
-    goal = 0 if ta.initial in ta.finals else None
+    goal = 0 if final[start] else None
 
     while queue and goal is None:
         nid = queue.popleft()
         loc, zone = nodes[nid]
-        for idx, sw in switches_from.get(loc, ()):  # in switch index order
-            z = zone.and_constraint(sw.guard)
+        for idx, guard, resets, dst in switches_from[loc]:
+            z = zone.and_constraint(guard)
             if z.is_empty():
                 continue
-            inv = ta.invariant(sw.dst)
-            z = z.reset(sw.resets).and_constraint(inv)
+            inv = invariant[dst]
+            z = z.reset(resets).and_constraint(inv)
             if z.is_empty():
                 continue
-            z = z.up().and_constraint(inv).extrapolate(k)
-            bucket = stored.setdefault(sw.dst, [])
+            z = z.up().and_constraint(inv).free(dead[dst]).extrapolate(k)
+            bucket = stored.setdefault(dst, [])
             if any(existing.includes(z) for existing in bucket):
                 continue
-            nodes.append((sw.dst, z))
+            nodes.append((dst, z))
             new_id = len(nodes) - 1
             if len(nodes) > budget:
                 raise ResourceError(f"zone graph exceeded {budget} nodes")
             parents[new_id] = (nid, idx)
             bucket.append(z)
             queue.append(new_id)
-            if sw.dst in ta.finals:
+            if final[dst]:
                 goal = new_id
                 break
 

@@ -1,12 +1,15 @@
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from timegolog import mtl
 from timegolog.mtl import Atom, Interval, TRUE
+from timegolog.parsing import load_ta
 from timegolog.plantrans import (
     Abs,
     Activation,
@@ -30,6 +33,7 @@ from timegolog.timed_automata import Switch, make_ta, run_to_timed_word, zone_re
 
 from fixtures import camera_platform_ta
 from oracles import region_language
+from test_acceptance import fifty_action_instance
 
 GOTO_PLAN = Plan((
     "start(goto(l1))", "end(goto(l1))", "start(pick(o1))", "end(pick(o1))",
@@ -244,6 +248,43 @@ class TestEnforceChain:
         ))
         with pytest.raises(PlanConstraintError, match="unsatisfiable"):
             build_encoding(GOTO_PLAN, camera_platform_ta(), cs)
+
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+# The witnesses the search returns, pinned so that any change to its order
+# (which successors it explores first, which zones it keeps) shows up here.
+TRANSPORT_DEMO_WITNESS = (
+    ("start(goto(l1))", 0), ("start(bootCamera)", 26), ("end(goto(l1))", 30),
+    ("end(bootCamera)", 30), ("start(pick(o1))", 30), ("end(pick(o1))", 45),
+)
+FIFTY_ACTION_WITNESS = (
+    ("start(step0)", 0), ("end(step0)", 1), ("start(step1)", 1), ("warmup", 1),
+    ("end(step1)", 2), ("start(step2)", 2), ("end(step2)", 3), ("engage", 3),
+    ("start(step3)", 3), ("end(step3)", 4), ("start(step4)", 4), ("end(step4)", 5),
+    ("start(step5)", 5), ("end(step5)", 6), ("start(step6)", 6), ("end(step6)", 7),
+    ("start(step7)", 7), ("end(step7)", 8), ("start(step8)", 8), ("end(step8)", 9),
+    ("start(step9)", 9), ("end(step9)", 10), ("cooldown", 10), ("rest", 11),
+    ("start(step10)", 11), ("end(step10)", 12), ("start(step11)", 12),
+    ("end(step11)", 13), ("start(step12)", 13), ("end(step12)", 14),
+    ("start(step13)", 14), ("end(step13)", 15), ("start(step14)", 15),
+    ("end(step14)", 16), ("start(step15)", 16), ("end(step15)", 17),
+    ("start(step16)", 17), ("end(step16)", 18), ("start(step17)", 18),
+    ("end(step17)", 19), ("start(step18)", 19), ("end(step18)", 20),
+    ("start(step19)", 20), ("warmup", 20), ("end(step19)", 21), ("start(step20)", 21),
+    ("end(step20)", 22), ("start(step21)", 22), ("end(step21)", 23),
+    ("start(step22)", 23), ("end(step22)", 24), ("start(step23)", 24),
+    ("end(step23)", 25), ("start(step24)", 25), ("end(step24)", 26),
+)
+
+
+def test_search_returns_the_pinned_witnesses():
+    plan = Plan(tuple(json.loads((DEMO_DATA / "transport_plan.json").read_text())["actions"]))
+    platform = load_ta(json.loads((DEMO_DATA / "camera_platform.json").read_text()))
+    constraints = constraints_from_json(
+        json.loads((DEMO_DATA / "transport_constraints.json").read_text()))
+    assert transform_plan(plan, platform, constraints) == TRANSPORT_DEMO_WITNESS
+    assert transform_plan(*fifty_action_instance()) == FIFTY_ACTION_WITNESS
 
 
 class TestTransform:

@@ -6,7 +6,9 @@ from fractions import Fraction as Q
 import pytest
 
 from timegolog import synthesis, timed_automata
+from timegolog.mtl import Interval
 from timegolog.parsing import load_ta, parse_guard_atoms
+from timegolog.plantrans import ConstraintSet, Plan, Rel, encode_plan
 from timegolog.temporal import ClockConstraint, ResourceError
 from timegolog.timed_automata import (
     EPSILON,
@@ -15,6 +17,7 @@ from timegolog.timed_automata import (
     Run,
     Switch,
     Zone,
+    live_clocks,
     make_ta,
     parallel_compose,
     run_to_timed_word,
@@ -202,7 +205,7 @@ def random_zone_op(rng: random.Random, z: Zone, op: str) -> Zone:
     if op == "reset":
         return z.reset([clock])
     if op == "free":
-        return z.free([clock])
+        return z.free(rng.sample(z.clocks, rng.randint(1, len(z.clocks))))
     if op == "intersect":
         other = Zone.universal(z.clocks).and_atom(clock, rng.choice(RELATIONS), rng.randint(0, 2))
         return z.intersect(other.up() if rng.random() < 0.5 else other)
@@ -231,7 +234,9 @@ def test_zone_operations_return_canonical_zones():
     counts = Counter()
     for _ in range(400):
         random_op_zone(rng, tuple(f"c{i}" for i in range(rng.randint(1, 6))), counts)
-        # arbitrary closed bounds, wider than the operations above produce
+        # arbitrary closed bounds, wider than the operations above produce;
+        # free (of any set of clocks) and down must keep them closed with
+        # no closure pass
         z = random_canonical_zone(rng, rng.randint(1, 6))
         if z is None:
             continue
@@ -498,6 +503,127 @@ def test_zone_reach_agrees_with_region_oracle():
                 run.replay_valuations(automaton)  # concrete soundness
                 checked += 1
     assert checked > 80  # the corpus exercises both verdicts
+
+
+def live_names(ta) -> dict:
+    """Location -> names of the clocks live there."""
+    return {
+        loc: frozenset(c for i, c in enumerate(ta.clocks) if mask >> i & 1)
+        for loc, mask in zip(ta.locations, live_clocks(ta))
+    }
+
+
+def warmup_platform():
+    """y is reset on entering warm, ready, used and cool, and read only on
+    leaving warm (engage) and cool (rest)."""
+    return make_ta(
+        ("idle", "warm", "ready", "used", "cool"), "idle",
+        ("idle", "warm", "ready", "used", "cool"), ("y",),
+        switches=[
+            Switch("idle", "warmup", ClockConstraint(), frozenset({"y"}), "warm"),
+            Switch("warm", "engage", atoms(("y", ">=", 1)), frozenset(), "ready"),
+            Switch("ready", "use", ClockConstraint(), frozenset({"y"}), "used"),
+            Switch("used", "release", ClockConstraint(), frozenset(), "ready"),
+            Switch("ready", "cooldown", ClockConstraint(), frozenset({"y"}), "cool"),
+            Switch("cool", "rest", atoms(("y", ">=", 1)), frozenset(), "idle"),
+        ],
+    )
+
+
+def windowed_product():
+    """Six plan actions whose windows (1,2), (3,4) and (5,6) share one
+    clock, composed with the warm-up platform."""
+    plan = Plan(tuple(f"a{i}" for i in range(1, 7)))
+    windows = ConstraintSet(rel=tuple(Rel(i, i + 1, Interval(1, 2)) for i in (1, 3, 5)))
+    return parallel_compose(encode_plan(plan, windows), warmup_platform().with_epsilon_loops())
+
+
+class TestLiveClocks:
+    def test_platform_clock_is_live_only_where_it_is_read(self):
+        live = live_names(warmup_platform().with_epsilon_loops())
+        assert {loc for loc, clocks in live.items() if "y" in clocks} == {"warm", "cool"}
+
+    def test_shared_window_clock_is_live_only_inside_its_windows(self):
+        product = windowed_product()
+        assert product.clocks == ("x_1_2", "y")
+        live = live_names(product)
+        assert {loc for loc, clocks in live.items() if "x_1_2" in clocks} == {
+            (f"l{i}", p) for i in (1, 3, 5) for p in warmup_platform().locations
+        }
+        assert {loc for loc, clocks in live.items() if "y" in clocks} == {
+            (f"l{i}", p) for i in range(7) for p in ("warm", "cool")
+        }
+
+    def test_liveness_flows_back_to_the_last_reset(self):
+        # x is read two switches after its reset, and an invariant reads z
+        ta = make_ta(
+            ("a", "b", "c", "d"), "a", ("d",), ("x", "z"),
+            invariants={"c": atoms(("z", "<=", 3))},
+            switches=[
+                Switch("a", "reset", ClockConstraint(), frozenset({"x"}), "b"),
+                Switch("b", "pass", ClockConstraint(), frozenset({"z"}), "c"),
+                Switch("c", "read", atoms(("x", ">=", 2)), frozenset(), "d"),
+                Switch("d", "loop", ClockConstraint(), frozenset(), "b"),
+            ],
+        )
+        assert live_names(ta) == {
+            "a": frozenset(), "b": {"x"}, "c": {"x", "z"}, "d": {"x"},
+        }
+
+    def test_dead_clocks_merge_zones(self):
+        # the whole zone graph of the windowed product (no final location):
+        # 50 zones, where keeping the dead clocks stores 122
+        product = windowed_product()
+        search = make_ta(product.locations, product.initial, (), product.clocks,
+                         product.invariants, product.switches)
+        assert zone_reach(search, budget=50) is None
+        with pytest.raises(ResourceError):
+            zone_reach(search, budget=49)
+
+
+def reset_heavy_ta(rng: random.Random):
+    """Random automaton along a path from the initial location to the one
+    final location, plus a few random switches: half the resets, so most
+    clocks are dead somewhere, and guards and invariants that read a
+    clock several switches after its reset."""
+    locations = [f"l{i}" for i in range(rng.randint(3, 6))]
+    clocks = tuple(f"c{i}" for i in range(rng.randint(2, 3)))
+
+    def switch(src, dst):
+        guard = tuple(
+            (c, rng.choice(RELATIONS), rng.randint(0, 3))
+            for c in clocks if rng.random() < 0.4
+        )
+        resets = frozenset(c for c in clocks if rng.random() < 0.5)
+        return Switch(src, rng.choice("ab"), ClockConstraint(guard), resets, dst)
+
+    switches = [switch(a, b) for a, b in zip(locations, locations[1:])]
+    switches += [switch(rng.choice(locations), rng.choice(locations))
+                 for _ in range(rng.randint(0, 3))]
+    invariants = {
+        l: atoms((rng.choice(clocks), rng.choice(("<", "<=")), rng.randint(1, 3)))
+        for l in locations if rng.random() < 0.3
+    }
+    return make_ta(locations, locations[0], locations[-1:], clocks, invariants, switches)
+
+
+def test_zone_reach_with_dead_clocks_agrees_with_region_oracle():
+    # freeing a clock that is still read would admit runs the automaton
+    # does not have: a wrong verdict, or a path whose replay fails
+    rng = random.Random(31337)
+    verdicts = Counter()
+    dead_somewhere = 0
+    for _ in range(300):
+        ta = reset_heavy_ta(rng)
+        everything = (1 << len(ta.clocks)) - 1
+        dead_somewhere += any(mask != everything for mask in live_clocks(ta))
+        run = zone_reach(ta)
+        assert (run is not None) == region_reachable(ta), ta_to_json(ta)
+        if run is not None:
+            run.replay_valuations(ta)
+        verdicts[run is not None] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+    assert dead_somewhere > 250
 
 
 class TestSerialization:
