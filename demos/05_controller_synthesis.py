@@ -9,8 +9,9 @@ durations) belong to the environment.
 The pipeline compiles the specification into an alternating timed
 automaton, explores the determinized product restricted to region-increment
 delays, closes dominated branches via the well-quasi-order, solves the
-safety game, extracts a controller, and stress-tests it against randomized
-environments with the independent semantics oracle.
+safety game while it searches (a node stops expanding once its label is
+decided), extracts a controller from the searched graph, and stress-tests
+it against randomized environments with the independent semantics oracle.
 """
 
 import json

@@ -65,9 +65,13 @@ def _emit(args, payload: dict, text: str):
 
 def _controllable_predicate(spec: str):
     patterns = [p.strip() for p in spec.split(",") if p.strip()]
+    answers: dict = {}  # the search asks about few distinct actions, many times
 
     def controllable(action: str) -> bool:
-        return any(fnmatchcase(action, p) for p in patterns)
+        answer = answers.get(action)
+        if answer is None:
+            answer = answers[action] = any(fnmatchcase(action, p) for p in patterns)
+        return answer
 
     return controllable
 
@@ -95,10 +99,8 @@ def cmd_synth(args) -> int:
     program = load_program(_read_json(args.program), bat)
     spec = _formula_arg(args.spec, bat)
     controllable = _controllable_predicate(args.controllable)
-    extract = bool(args.out or args.dot or args.simulate)
     result, graph, problem = synthesis.check_for_controller(
-        bat, program, spec, controllable,
-        budget=args.budget, prune=args.prune and not extract,
+        bat, program, spec, controllable, budget=args.budget,
     )
     info = {"controller": bool(result), "nodes": len(graph.nodes),
             "explored": graph.explored}
@@ -110,7 +112,7 @@ def cmd_synth(args) -> int:
         _emit(args, {**info, "verdict": "no-controller"},
               f"no controller exists ({len(graph.nodes)} nodes)")
         return 1
-    if extract:
+    if args.out or args.dot or args.simulate:
         controller = synthesis.extract_controller(problem, graph, controllable)
         controller_ta = controller.to_ta()
         if args.out:
@@ -213,14 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", help="controller JSON output path")
     p_synth.add_argument("--dot", help="controller DOT output path")
     p_synth.add_argument("--budget", type=int, default=None)
-    p_synth.add_argument("--prune", action="store_true",
-                         help="label on the fly (decision only; extraction "
-                              "always builds the full graph)")
     p_synth.add_argument("--simulate", type=int, default=0, metavar="TRIALS",
                          help="randomized controller simulation trials")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--debug-graph", metavar="PATH",
-                         help="dump the labeled search graph with canonical words")
+                         help="dump the searched graph, labelled during the search, "
+                              "with canonical words; the controller comes from it")
     p_synth.add_argument("--json", action="store_true")
     p_synth.set_defaults(func=cmd_synth)
 

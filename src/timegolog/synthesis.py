@@ -6,8 +6,10 @@ interpreter, restrict time steps to region increments over the pooled clock
 set, determinize by collecting all simultaneous (program, automaton-config)
 alternatives, and search the resulting finitely-branching system.  A
 well-quasi-order on states closes paths that are dominated by an ancestor,
-so the search graph is finite even for looping programs; a two-player
-safety game on the graph decides whether a controller exists and yields one.
+so the search graph is finite even for looping programs.  For synthesis, a
+two-player safety game is labelled during the search, which stops expanding
+a node once its label is decided; the graph so searched decides whether a
+controller exists and yields it.
 
 A product state holds its program and automaton clock values as integers
 over one per-state unit: a value v of a state with unit u stands for v/u.
@@ -427,8 +429,7 @@ class Node:
     edges: tuple = ()  # ((action, incr index), child nid)
     parent: Optional[tuple] = None  # (parent nid, action, incr index)
     label: Optional[bool] = None
-    expanded: bool = False
-    delays: Optional[list] = None  # the state's increments, once expanded
+    delays: Optional[list] = None  # the state's increments, once classified
     words: Optional[dict] = None  # the state's member_words, once classified
 
 
@@ -446,13 +447,14 @@ class SearchGraph:
 
 
 class _Frame:
-    __slots__ = ("nid", "successors", "next_index", "edges")
+    __slots__ = ("nid", "successors", "next_index", "edges", "choices")
 
-    def __init__(self, nid, successors):
+    def __init__(self, nid, successors, choices):
         self.nid = nid
         self.successors = successors
         self.next_index = 0
-        self.edges = []
+        self.edges = {}  # (action, incr index) -> child nid, in build order
+        self.choices = choices  # the minimal valid choices; None outside a game
 
 
 def build_graph(
@@ -461,20 +463,28 @@ def build_graph(
     budget: Optional[int] = None,
     stop_on_bad: bool = False,
     controllable: Optional[Callable[[str], bool]] = None,
-    prune: bool = False,
 ) -> SearchGraph:
     """Depth-first expansion of the determinized product into a finite graph.
 
     A node closes as soon as it is bad, dominated by an ancestor on the
     current path (the well-quasi-order makes this fire on every infinite
     path), or successor-less; canonically identical states share one node.
-    With `prune`, a node stops expanding children once its game label is
-    already decided by the expanded ones; its edge list then stays partial.
     `budget` bounds the number of nodes and the region increments of any
     one node; exceeding it raises `ResourceError`.
+
+    Given the game's `controllable` predicate, the game is labelled during
+    the search (on-the-fly solving, Cassez, David, Fleury, Larsen & Lime,
+    CONCUR 2005).  An inner node's minimal valid choices
+    (`_minimal_valid_sets`, over its complete successor list) are computed
+    once, when it is pushed; each time a child's label becomes known, the
+    node is labelled True if some choice has all its children built and
+    True, False if every choice has a child built and False.  A labelled
+    node builds no further children, so its edge list stays partial: it
+    holds, in successor order, the children built up to the one that
+    decided.  A node left unlabelled keeps its complete edge list, and
+    `label_graph` decides it.  Without `controllable` (as in `verify`)
+    every node is expanded completely.
     """
-    if prune and controllable is None:
-        raise ValueError("pruning needs the controllable-action predicate")
     nodes: list[Node] = []
     table: dict = {}
     graph = SearchGraph(root=0, nodes=nodes)
@@ -515,48 +525,59 @@ def build_graph(
         if is_bad(problem, node.state):
             node.status = BAD
             node.label = False
-            node.expanded = True
             return None
         node.words = member_words(problem, node.state, interned_words)
         for anc_id in reversed(path):
             if det_leq(nodes[anc_id], node):
                 node.status = SUCCESSFUL
                 node.dominator = anc_id
-                node.expanded = True
                 return None
         node.delays = delays_of(node.state)
         succ = det_successors(problem, node.state, node.delays)
         if not succ:
             node.status = DEAD
             node.label = True
-            node.expanded = True
             return None
         node.status = INNER
         return succ
 
+    def settle(frame: _Frame) -> None:
+        """Label the frame's node if its built children decide the game."""
+        if frame.choices is None:
+            return
+        label = _choice_label(frame.choices, frame.edges, nodes)
+        if label is not None:
+            nodes[frame.nid].label = label
+            frame.next_index = len(frame.successors)  # build no more children
+
+    def push(node: Node, successors: list) -> None:
+        choices = None
+        if controllable is not None:
+            keys = [key for key, _ in successors]
+            choices = _minimal_valid_sets(problem, node.state, keys, controllable)
+        frame = _Frame(node.nid, successors, choices)
+        stack.append(frame)
+        path.append(node.nid)
+        on_path.add(node.nid)
+        settle(frame)  # the empty choice wins before any child is built
+
+    stack: list[_Frame] = []
     root_state = root_state if root_state is not None else initial_det_state(problem)
     root_node = new_node(root_state, None)
     root_succ = classify(root_node)
     if root_succ is None:
         return graph
-    stack = [_Frame(root_node.nid, root_succ)]
-    path.append(root_node.nid)
-    on_path.add(root_node.nid)
+    push(root_node, root_succ)
 
     while stack:
         frame = stack[-1]
-        node = nodes[frame.nid]
-        if prune and node.label is None:
-            decided = _three_valued_label(problem, graph, node, controllable,
-                                          frame.successors, dict(frame.edges))
-            if decided is not None:
-                node.label = decided
-                frame.next_index = len(frame.successors)  # skip the rest
         if frame.next_index >= len(frame.successors):
-            node.edges = tuple(frame.edges)
-            node.expanded = True
+            node = nodes[frame.nid]
+            node.edges = tuple(frame.edges.items())
             stack.pop()
             on_path.discard(path.pop())
+            if stack and node.label is not None:
+                settle(stack[-1])
             continue
         key, child_state = frame.successors[frame.next_index]
         frame.next_index += 1
@@ -569,24 +590,25 @@ def build_graph(
                 stub = new_node(child_state, (frame.nid, key[0], key[1]), register=False)
                 stub.status = SUCCESSFUL
                 stub.dominator = existing
-                stub.expanded = True
                 graph.explored += 1
-                frame.edges.append((key, stub.nid))
+                frame.edges[key] = stub.nid
             else:
-                frame.edges.append((key, existing))
+                frame.edges[key] = existing
+                if nodes[existing].label is not None:
+                    settle(frame)
             continue
         child = new_node(child_state, (frame.nid, key[0], key[1]))
-        frame.edges.append((key, child.nid))
+        frame.edges[key] = child.nid
         child_succ = classify(child)
         if child_succ is None:
             if stop_on_bad and child.status == BAD:
                 for open_frame in stack:
-                    nodes[open_frame.nid].edges = tuple(open_frame.edges)
+                    nodes[open_frame.nid].edges = tuple(open_frame.edges.items())
                 return graph
+            if child.label is not None:
+                settle(frame)
             continue
-        stack.append(_Frame(child.nid, child_succ))
-        path.append(child.nid)
-        on_path.add(child.nid)
+        push(child, child_succ)
 
     return graph
 
@@ -614,32 +636,20 @@ def _minimal_valid_sets(problem, node_state, keys, controllable):
     return sets
 
 
-def _three_valued_label(problem, graph, node, controllable, successors, edge_map):
-    """Evaluate a node's label with possibly-unexpanded children: True/False
-    when decided regardless of the unknowns, None otherwise.  `successors`
-    fixes the complete enabled set; `edge_map` the children built so far."""
-    keys = [key for key, _ in successors]
-    candidates = _minimal_valid_sets(problem, node.state, keys, controllable)
-    if not candidates:
-        return False
-
-    def label_of(key):
-        cid = edge_map.get(key)
-        return None if cid is None else graph.node(cid).label
-
-    some_unknown = False
-    all_false = True
-    for choice in candidates:
-        labels = [label_of(key) for key in choice]
-        if all(l is True for l in labels):
-            return True
-        if any(l is False for l in labels):
+def _choice_label(choices, edges: dict, nodes: list) -> Optional[bool]:
+    """A node's label from the labels of its built children, or None while
+    unknown children can still decide it: True once some choice has all its
+    children built and True, False once every choice has a child built and
+    False.  `edges` maps each built timed action to its child."""
+    undecided = False
+    for choice in choices:
+        labels = [nodes[edges[key]].label if key in edges else None for key in choice]
+        if any(label is False for label in labels):
             continue
-        all_false = False
-        some_unknown = True
-    if some_unknown:
-        return None
-    return False if all_false else None
+        if all(labels):
+            return True
+        undecided = True
+    return None if undecided else False
 
 
 def label_graph(problem: Problem, graph: SearchGraph, controllable: Callable[[str], bool]) -> bool:
@@ -650,7 +660,7 @@ def label_graph(problem: Problem, graph: SearchGraph, controllable: Callable[[st
     ancestor (the controller can keep simulating that ancestor's strategy,
     and an endless play never completes a trace, hence is safe).  Computed
     as the least fixpoint of the environment attractor; nodes whose label
-    was already committed during pruning keep it.
+    was already committed during the search keep it.
     """
     attr = set()
     rev: dict[int, set] = {n.nid: set() for n in graph.nodes}
@@ -700,17 +710,19 @@ def check_for_controller(
     spec: MtlFormula,
     controllable: Callable[[str], bool],
     budget: Optional[int] = None,
-    prune: bool = False,
 ):
     """Whether a controller avoiding the undesired behavior exists; returns
-    (verdict, labeled graph, problem) so a controller can be extracted.  The
-    problem's clock constants, and so the guards of the controller's edges,
-    are those of the inputs multiplied by `problem.scale`."""
+    (verdict, labeled graph, problem) so a controller can be extracted.
+
+    The graph is the one searched with on-the-fly labelling (`build_graph`
+    with `controllable`): a node whose label the search committed has only
+    the children built before it was decided, and `label_graph` labels the
+    rest.  `extract_controller` and `simulate_controller` work on this same
+    graph.  The problem's clock constants, and so the guards of the
+    controller's edges, are those of the inputs multiplied by
+    `problem.scale`."""
     problem = build_problem(bat, program, spec)
-    graph = build_graph(
-        problem, budget=budget,
-        controllable=controllable, prune=prune,
-    )
+    graph = build_graph(problem, budget=budget, controllable=controllable)
     result = label_graph(problem, graph, controllable)
     return result, graph, problem
 
@@ -892,7 +904,20 @@ def extract_controller(problem: Problem, graph: SearchGraph, controllable) -> Co
     """Keep, from every reachable winning node, each edge into a winning
     node; edges into dominated leaves loop back to the dominating ancestor.
     Same-increment ties between controller and environment actions are
-    reported (preemption is interpreted strictly at region granularity)."""
+    reported (preemption is interpreted strictly at region granularity).
+
+    The graph may be the one searched with on-the-fly labelling, whose
+    labelled nodes have partial edge lists; the selection is still a valid
+    controller choice.  Suppose the search committed a node's label by a
+    winning minimal choice W: one controller action at increment i with
+    every environment action at an increment <= i, or all environment
+    actions.  W's children were all built and labelled True, so the
+    selected edges contain W.  The search stopped right after W was decided
+    and builds children in increment order, so every selected controller
+    action sits at some increment m <= i.  Every environment action at an
+    increment <= m is then in W and selected, and every later one is
+    strictly preempted.  Nodes whose label was not committed during the
+    search keep their complete edge lists."""
     root = graph.node(graph.root)
     if root.label is not True:
         raise NoControllerError("the initial node is losing; no controller exists")

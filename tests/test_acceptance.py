@@ -190,11 +190,16 @@ def test_criterion_4_camera_synthesis_positive():
     controller = extract_controller(problem, graph, controllable)
     sim = simulate_controller(controller, trials=500, seed=2026)
     elapsed = time.time() - start
-    ok = ok and sim.ok and sim.completed > 0 and len(graph.nodes) == 432
+    # the full exploration keeps its size; the controller comes from the
+    # smaller graph that the search labelled on the fly
+    full = build_graph(build_problem(bat, camera_program(), camera_spec(2)))
+    ok = ok and sim.ok and sim.completed > 0
+    ok = ok and len(full.nodes) == 432 and len(graph.nodes) < len(full.nodes)
     report(
         "criterion 4: camera scenario controller exists and simulates clean",
         ok and elapsed < 60,
-        f"{len(graph.nodes)} nodes, {sim.completed}/{sim.trials} completed, "
+        f"{len(graph.nodes)} of {len(full.nodes)} nodes searched, "
+        f"{sim.completed}/{sim.trials} completed, "
         f"{len(sim.violations)} violations, {elapsed:.1f}s",
     )
 

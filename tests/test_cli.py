@@ -352,16 +352,20 @@ class TestSynth:
             for letter in word for entry in letter
         )
 
-    def test_prune_agrees(self, camera_files):
-        base = main([
+    def test_debug_graph_is_the_graph_behind_the_controller(self, camera_files, tmp_path,
+                                                             capsys):
+        debug = tmp_path / "graph.json"
+        code = main([
             "synth", "--bat", camera_files["bat"], "--program", camera_files["program"],
             "--spec", CAMERA_SPEC_TEXT, "--controllable", "start(*",
+            "--simulate", "5", "--json", "--debug-graph", str(debug),
         ])
-        pruned = main([
-            "synth", "--bat", camera_files["bat"], "--program", camera_files["program"],
-            "--spec", CAMERA_SPEC_TEXT, "--controllable", "start(*", "--prune",
-        ])
-        assert base == pruned == 0
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        dump = json.loads(debug.read_text())
+        assert payload["verdict"] == "controller"
+        assert payload["nodes"] == len(dump["nodes"])
+        assert dump["nodes"][dump["root"]]["label"] is True
 
 
 class TestTransform:

@@ -361,21 +361,6 @@ class TestGame:
         assert result is False
         assert all(n.status == "bad" for n in graph.nodes if n.nid != graph.root)
 
-    def test_prune_matches_two_pass_root_label(self):
-        cases = []
-        bat2 = tiny_bat(2)
-        cases.append((bat2, branch(PAct("set_p0"), PAct("set_p1")),
-                      finally_(Atom("p0")), ALL_CTL))
-        cases.append((bat2, branch(PAct("set_p0"), PAct("set_p1")),
-                      finally_(Atom("p0")), ALL_ENV))
-        bat1 = tiny_bat(1)
-        cases.append((bat1, seq(PStar(seq(PAct("set_p0"), PAct("clear_p0"))), PAct("set_p0")),
-                      finally_(Atom("p0")), ALL_CTL))
-        for bat, prog, spec, ctl in cases:
-            full, _, _ = check_for_controller(bat, prog, spec, ctl, prune=False)
-            pruned, _, _ = check_for_controller(bat, prog, spec, ctl, prune=True)
-            assert full == pruned
-
 
 class TestReplay:
     def test_counterexample_times_are_exact(self):
@@ -498,6 +483,121 @@ class TestSimulation:
         assert report.completed == 50
 
 
+# --- on-the-fly labelling against the full graph ----------------------------------
+
+
+def minimal_choices(problem, state, keys, controllable):
+    """The minimal valid controller choices over the enabled timed actions:
+    all environment actions, or one controller action with every environment
+    action at its increment or an earlier one; the empty choice at a final
+    state without environment actions."""
+    env = {key for key in keys if not controllable(key[0])}
+    choices = [frozenset(env)] if env else []
+    if not env and all(problem.is_final(state.world(), m.prog) for m in state.members):
+        choices.append(frozenset())
+    choices += [
+        frozenset({(action, idx)} | {e for e in env if e[1] <= idx})
+        for action, idx in keys if controllable(action)
+    ]
+    return choices
+
+
+CAMERA_TASKS = ("drive(m1,m2)", "grasp(m2,o1)", "bootCamera", "stopCamera")
+
+
+def random_game(rng, looped):
+    """A small program with clocked guards (and, on the tiny theory, clocked
+    tests), a specification and a random controllable set, on the tiny
+    toggle theory or the camera theory; `looped` puts a star in it."""
+    if rng.random() < 0.5:
+        bat = guarded_bat()
+        leaves = [PAct(a) for a in sorted(bat.actions)] + [
+            PTest(SClock(Const("c0"), rel, Q(1))) for rel in ("<", ">=")
+        ]
+        specs = SMALL_SPECS
+    else:
+        bat = build_camera_bat()
+        leaves = [
+            seq(PAct(f"start({task})"), PAct(f"end({task})")) for task in CAMERA_TASKS
+        ] + [PAct(f"start({task})") for task in CAMERA_TASKS]
+        specs = [camera_spec(1), camera_spec(2), finally_(Atom("grasping"))]
+
+    def program(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        kind = rng.choice([PSeq, PBranch, PPar])
+        return kind(program(depth - 1), program(depth - 1))
+
+    prog = program(2)
+    if looped:
+        prog = rng.choice([PSeq, PPar])(PStar(rng.choice(leaves)), prog)
+    actions = sorted(bat.actions)
+    owned = set(rng.sample(actions, rng.randrange(len(actions) + 1)))
+    return bat, prog, rng.choice(specs), lambda a: a in owned
+
+
+def test_on_the_fly_search_agrees_with_the_full_graph():
+    """Seeded sweep of small games: the graph searched with on-the-fly
+    labelling decides as the fully explored one, every label committed
+    during the search is witnessed by built children, and the controller
+    extracted from the searched graph simulates clean (on looped programs,
+    whenever the full graph's controller does)."""
+    rng = random.Random(2005)
+    seen = Counter()
+    for case in range(60):
+        looped = case % 3 == 0
+        bat, prog, spec, ctl = random_game(rng, looped)
+        problem = build_problem(bat, prog, spec)
+        try:
+            full = build_graph(problem, budget=500)
+        except ResourceError:
+            # some looped games take thousands of nodes to explore fully, so
+            # they have no reference here
+            seen["too large"] += 1
+            continue
+        expected = label_graph(problem, full, ctl)
+        result, graph, problem = check_for_controller(bat, prog, spec, ctl)
+        assert result == expected, (case, str(prog), str(spec))
+
+        searched = build_graph(problem, controllable=ctl)
+        assert len(searched.nodes) == len(graph.nodes)
+        for node in searched.nodes:
+            if node.status != "inner":
+                continue
+            keys = [key for key, _ in det_successors(problem, node.state, node.delays)]
+            edges = dict(node.edges)
+            if node.label is None:
+                assert list(edges) == keys, (case, node.nid)
+                continue
+            labels = [
+                [searched.node(edges[key]).label if key in edges else None for key in choice]
+                for choice in minimal_choices(problem, node.state, keys, ctl)
+            ]
+            if node.label:
+                assert any(all(l is True for l in ls) for ls in labels), (case, node.nid)
+            else:
+                assert all(any(l is False for l in ls) for ls in labels), (case, node.nid)
+            seen["committed"] += 1
+
+        if not result:
+            seen["no controller"] += 1
+            continue
+        report = simulate_controller(extract_controller(problem, graph, ctl), trials=10, seed=case)
+        if not looped:
+            assert report.ok, (case, str(prog), report.condition_failures[:2])
+            seen["loop-free controller"] += 1
+        else:
+            reference = simulate_controller(
+                extract_controller(problem, full, ctl), trials=10, seed=case
+            )
+            assert report.ok or not reference.ok, (case, str(prog))
+            seen["looped controller, reference clean"] += reference.ok
+        seen["fewer nodes"] += len(graph.nodes) < len(full.nodes)
+    assert seen["committed"] and seen["no controller"] >= 5, seen
+    assert seen["loop-free controller"] >= 10 and seen["fewer nodes"] >= 10, seen
+    assert seen["looped controller, reference clean"] >= 5, seen
+
+
 @pytest.fixture(scope="module")
 def camera_game():
     controllable = lambda a: a.startswith("start(")
@@ -577,13 +677,14 @@ small_programs = st.recursive(
     ),
     max_leaves=5,
 )
-small_specs = st.sampled_from([
+SMALL_SPECS = [
     finally_(Atom("p0")),
     finally_(Atom("p1"), Interval(0, 1)),
     finally_(And((Atom("p0"), finally_(Not(Atom("p0")), Interval(1, 2))))),
     Until(Not(Atom("p1")), Atom("p0"), Interval(1, 3, lo_open=True)),
     mtl.globally(Atom("p0"), Interval(1, 2)),
-])
+]
+small_specs = st.sampled_from(SMALL_SPECS)
 
 
 def in_fractions(successors):
