@@ -29,7 +29,7 @@ from timegolog.plantrans import (
 )
 from timegolog.synthesis import trace_to_word  # noqa: F401  (not used here)
 from timegolog.temporal import ClockConstraint, scale_lcm
-from timegolog.timed_automata import Switch, make_ta, run_to_timed_word, zone_reach
+from timegolog.timed_automata import Switch, make_ta, run_to_timed_word, ta_to_json, zone_reach
 
 from fixtures import camera_platform_ta
 from oracles import region_language
@@ -285,6 +285,62 @@ def test_search_returns_the_pinned_witnesses():
         json.loads((DEMO_DATA / "transport_constraints.json").read_text()))
     assert transform_plan(plan, platform, constraints) == TRANSPORT_DEMO_WITNESS
     assert transform_plan(*fifty_action_instance()) == FIFTY_ACTION_WITNESS
+
+
+# Three chains over the goto plan whose activations (1,2), (1,4) and (2,4)
+# overlap, so locations carry two nested stage tags.
+OVERLAPPING_CHAINS = ConstraintSet(
+    rel=(Rel(1, 2, Interval(30, 45)), Rel(3, 4, Interval(15, 20))),
+    chain=(
+        Chain(((Atom("camOff"), Interval(0, None)), (TRUE, Interval(0, 4))),
+              "start:goto*", "end:goto*"),
+        Chain(((mtl.Or((Atom("camOff"), Atom("booting"))), Interval(0, None)),
+               (Atom("camOn"), Interval(0, None))), "start:goto*", "end:pick*"),
+        Chain(((TRUE, Interval(0, None)),), "end:goto*", "end:pick*"),
+    ),
+)
+OVERLAPPING_LOCATIONS = [
+    "l0|camOff", "l0|booting", "l0|camOn", "l4|camOff", "l4|booting", "l4|camOn",
+    "l1|camOff|stage|x_chain0|1|stage|x_chain1|1",
+    "l1|camOff|stage|x_chain0|2|stage|x_chain1|1",
+    "l1|booting|stage|x_chain0|2|stage|x_chain1|1",
+    "l1|camOn|stage|x_chain0|2|stage|x_chain1|2",
+    "l2|camOff|stage|x_chain1|1|stage|x_chain2|1",
+    "l2|booting|stage|x_chain1|1|stage|x_chain2|1",
+    "l3|camOff|stage|x_chain1|1|stage|x_chain2|1",
+    "l3|booting|stage|x_chain1|1|stage|x_chain2|1",
+    "l2|camOn|stage|x_chain1|2|stage|x_chain2|1",
+    "l3|camOn|stage|x_chain1|2|stage|x_chain2|1",
+]
+OVERLAPPING_WITNESS = (
+    ("start(goto(l1))", 0), ("start(bootCamera)", 26), ("end(goto(l1))", 30),
+    ("start(pick(o1))", 30), ("end(bootCamera)", 30), ("end(pick(o1))", 45),
+)
+
+
+def test_overlapping_chains_nest_stage_tags_in_a_pinned_order():
+    enc = ta_to_json(build_encoding(GOTO_PLAN, camera_platform_ta(), OVERLAPPING_CHAINS))
+    assert enc["locations"] == OVERLAPPING_LOCATIONS
+    assert len(enc["switches"]) == 38
+    assert enc["clocks"] == ["x_1_2", "x_cam", "x_chain0", "x_chain1", "x_chain2"]
+    trace = transform_plan(GOTO_PLAN, camera_platform_ta(), OVERLAPPING_CHAINS)
+    assert trace == OVERLAPPING_WITNESS
+    assert validate_transformed(trace, GOTO_PLAN, camera_platform_ta(), OVERLAPPING_CHAINS)
+
+
+def test_windows_open_at_both_ends_give_exact_midpoint_delays():
+    # each window is open at both ends, so extraction picks its midpoint:
+    # delays 1/2, 3/2 and 5/2
+    hub = make_ta(("hub",), "hub", ("hub",), ())
+    plan = Plan(("a1", "a2", "a3"))
+    cs = ConstraintSet(
+        abs=(Abs(1, Interval(0, 1, True, True)),),
+        rel=(Rel(1, 2, Interval(1, 2, True, True)), Rel(2, 3, Interval(2, 3, True, True))),
+    )
+    trace = transform_plan(plan, hub, cs)
+    assert trace == (("a1", Q(1, 2)), ("a2", Q(2)), ("a3", Q(9, 2)))
+    assert all(type(t) is Q for _, t in trace)
+    assert validate_transformed(trace, plan, hub, cs)
 
 
 class TestTransform:
