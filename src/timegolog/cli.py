@@ -147,11 +147,12 @@ def cmd_transform(args) -> int:
     plan = plantrans.plan_from_json(_read_json(args.plan))
     platform = load_ta(_read_json(args.platform))
     constraints = plantrans.constraints_from_json(_read_json(args.constraints))
+    encoding = None
     if args.dot:
-        enc = plantrans.build_encoding(plan, platform, constraints)
+        encoding = plantrans.build_encoding(plan, platform, constraints)
         with open(args.dot, "w") as handle:
-            handle.write(ta_to_dot(enc))
-    trace = plantrans.transform_plan(plan, platform, constraints)
+            handle.write(ta_to_dot(encoding))
+    trace = plantrans.transform_plan(plan, platform, constraints, encoding)
     if trace is None:
         _emit(args, {"verdict": "unrealizable"}, "plan not realizable under the constraints")
         return 1

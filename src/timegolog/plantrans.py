@@ -209,138 +209,119 @@ def encode_plan(plan: Plan, constraints: ConstraintSet) -> TimedAutomaton:
 # --- chain surgery on the product -------------------------------------------------
 
 
-def plan_index(loc) -> int:
-    """Plan position of a (possibly surgery-tagged) product location."""
-    if isinstance(loc, str):
-        if loc.startswith("l") and loc[1:].isdigit():
-            return int(loc[1:])
-        raise ValueError(f"not a plan location: {loc!r}")
-    if isinstance(loc, tuple):
-        for part in loc:
-            try:
-                return plan_index(part)
-            except ValueError:
-                continue
-    raise ValueError(f"no plan component in {loc!r}")
-
-
-def platform_location(loc, platform_names: frozenset) -> str:
-    if isinstance(loc, str):
-        if loc in platform_names:
-            return loc
-        raise ValueError(f"not a platform location: {loc!r}")
-    if isinstance(loc, tuple):
-        for part in loc:
-            try:
-                return platform_location(part, platform_names)
-            except ValueError:
-                continue
-    raise ValueError(f"no platform component in {loc!r}")
-
-
 def _beta_holds(beta: MtlFormula, location: str) -> bool:
     word = TimedWord(((frozenset({location}), Fraction(0)),))
     return mtl.satisfies(word, 0, beta)
 
 
-def enforce_chain(
-    a: TimedAutomaton,
-    activation: Activation,
-    chain: Chain,
-    clock: str,
-    platform_names: frozenset,
-) -> TimedAutomaton:
-    """Replace the activation context by one filtered copy per stage.
+def enforce_chain(product: TimedAutomaton, activations: list) -> TimedAutomaton:
+    """Replace each activation's context by one filtered copy per stage.
 
-    Stage j keeps the context locations whose platform component satisfies
-    the stage predicate; switches between consecutive stages carry the
-    stage-duration guard and reset the chain clock, entry switches reset it,
-    and exit switches carry the final stage's guard.  The platform's ε
-    self-loops let consecutive stages share a location without an actual
-    platform action.
-    """
-    s, e = activation.s, activation.e
-    # ordered sets (dicts) in the order of a.locations, so that the stage
-    # locations come out in the same order on every run
-    context = dict.fromkeys(loc for loc in a.locations if s <= plan_index(loc) < e)
-    if not context:
-        raise PlanConstraintError(f"activation ({s},{e}) has an empty context")
-    stages = []
-    for j, (beta, _) in enumerate(chain.stages, start=1):
-        kept = dict.fromkeys(
-            loc for loc in context
-            if _beta_holds(beta, platform_location(loc, platform_names))
-        )
-        if not kept:
-            raise PlanConstraintError(
-                f"chain stage {j} matches no platform location within "
-                f"activation ({s},{e}): constraint unsatisfiable"
-            )
-        stages.append(kept)
-    n_stages = len(stages)
-    intervals = [iv for _, iv in chain.stages]
+    `product` is `parallel_compose(encode_plan(...), platform)`: its
+    locations are (plan location, platform location) pairs, plan-major.
+    `activations` lists (Activation, Chain, chain clock) in the order the
+    surgeries apply; activation (s, e) has the plan positions s..e-1 as its
+    context.  Stage j keeps the context locations whose platform component
+    satisfies the stage predicate; switches between consecutive stages
+    carry the stage-duration guard and reset the chain clock, entry
+    switches reset it, and exit switches carry the final stage's guard.
+    The platform's ε self-loops let consecutive stages share a location
+    without an actual platform action.
 
-    def tagged(loc, j):
-        return (loc, ("stage", clock, j))
+    One walk over the switches applies every surgery, and the automaton is
+    built once; the result, order included, is that of applying them one
+    after another, where a location copied by an earlier surgery is copied
+    again with nested tags ((loc, tag1), tag2)."""
+    position = {l: i for i, l in enumerate(dict.fromkeys(l for l, _ in product.locations))}
+    platform = dict.fromkeys(p for _, p in product.locations)
+    surgeries = []  # (s, e, clock, stage location sets, stage tags, stage guard atoms)
+    stage_sets: dict = {}  # per chain clock
+    covering = [[] for _ in position]  # plan position -> surgeries whose context holds it
+    for k, (act, chain, clock) in enumerate(activations):
+        if clock not in stage_sets:
+            stage_sets[clock] = [
+                frozenset(p for p in platform if _beta_holds(beta, p)) for beta, _ in chain.stages
+            ]
+        tags = [("stage", clock, j) for j in range(1, len(chain.stages) + 1)]
+        atoms = [_interval_atoms(clock, iv) for _, iv in chain.stages]
+        surgeries.append((act.s, act.e, clock, stage_sets[clock], tags, atoms))
+        for i in range(act.s, act.e):
+            covering[i].append(k)
 
-    locations = [loc for loc in a.locations if loc not in context]
-    invariants = {l: g for l, g in a.invariants.items() if l not in context}
-    for j, kept in enumerate(stages, start=1):
-        for loc in kept:
-            locations.append(tagged(loc, j))
-            if loc in a.invariants:
-                invariants[tagged(loc, j)] = a.invariants[loc]
+    # locations: each surgery moves its context to the end, stage by stage
+    records = [(loc, position[loc[0]], loc[1], loc) for loc in product.locations]
+    clocks = product.clocks
+    for s, e, clock, sets, tags, _ in surgeries:
+        context = [r for r in records if s <= r[1] < e]
+        if not context:
+            raise PlanConstraintError(f"activation ({s},{e}) has an empty context")
+        records = [r for r in records if not s <= r[1] < e]
+        for j, (kept, tag) in enumerate(zip(sets, tags), start=1):
+            copies = [((loc, tag), i, p, base) for loc, i, p, base in context if p in kept]
+            if not copies:
+                raise PlanConstraintError(
+                    f"chain stage {j} matches no platform location within "
+                    f"activation ({s},{e}): constraint unsatisfiable"
+                )
+            records += copies
+        if clock not in clocks:
+            clocks += (clock,)
 
     switches = []
-    for sw in a.switches:
-        src_in, dst_in = sw.src in context, sw.dst in context
-        if not src_in and not dst_in:
+    for sw in product.switches:
+        i1, i2 = position[sw.src[0]], position[sw.dst[0]]
+        c1, c2 = covering[i1], covering[i2]
+        ks = c1 if c1 == c2 else sorted({*c1, *c2})
+        if not ks:
             switches.append(sw)
             continue
-        if not src_in and dst_in:
-            # context entry: start stage 1 and the chain clock
-            if sw.dst in stages[0]:
-                switches.append(Switch(
-                    sw.src, sw.label, sw.guard,
-                    sw.resets | {clock}, tagged(sw.dst, 1),
-                ))
-            continue
-        if src_in and not dst_in:
-            # context exit: only from the last stage, closing its window
-            if sw.src in stages[n_stages - 1]:
-                guard = sw.guard.conjoin(
-                    ClockConstraint(_interval_atoms(clock, intervals[-1]))
-                )
-                switches.append(Switch(
-                    tagged(sw.src, n_stages), sw.label, guard, sw.resets, sw.dst,
-                ))
-            continue
-        # internal: within a stage, and across consecutive stages
-        for j in range(1, n_stages + 1):
-            if sw.src in stages[j - 1] and sw.dst in stages[j - 1]:
-                switches.append(Switch(
-                    tagged(sw.src, j), sw.label, sw.guard, sw.resets, tagged(sw.dst, j),
-                ))
-            if j < n_stages and sw.src in stages[j - 1] and sw.dst in stages[j]:
-                guard = sw.guard.conjoin(
-                    ClockConstraint(_interval_atoms(clock, intervals[j - 1]))
-                )
-                switches.append(Switch(
-                    tagged(sw.src, j), sw.label, guard,
-                    sw.resets | {clock}, tagged(sw.dst, j + 1),
-                ))
+        p1, p2 = sw.src[1], sw.dst[1]
+        # copies of sw so far: (src, dst, added guard atoms, resets)
+        copies = [(sw.src, sw.dst, (), sw.resets)]
+        for k in ks:
+            s, e, clock, sets, tags, atoms = surgeries[k]
+            if not s <= i1 < e:
+                # context entry: start stage 1 and the chain clock
+                keep = p2 in sets[0]
+                copies = [(a, (b, tags[0]), g, r | {clock}) for a, b, g, r in copies if keep]
+            elif not s <= i2 < e:
+                # context exit: only from the last stage, closing its window
+                keep = p1 in sets[-1]
+                copies = [((a, tags[-1]), b, g + atoms[-1], r) for a, b, g, r in copies if keep]
+            else:
+                # internal: within a stage, and across consecutive stages
+                inner = []
+                for a, b, g, r in copies:
+                    for j, kept in enumerate(sets):
+                        if p1 not in kept:
+                            continue
+                        if p2 in kept:
+                            inner.append(((a, tags[j]), (b, tags[j]), g, r))
+                        if j + 1 < len(sets) and p2 in sets[j + 1]:
+                            inner.append(
+                                ((a, tags[j]), (b, tags[j + 1]), g + atoms[j], r | {clock})
+                            )
+                copies = inner
+        for a, b, g, r in copies:
+            guard = sw.guard.conjoin(ClockConstraint(g)) if g else sw.guard
+            switches.append(Switch(a, sw.label, guard, r, b))
 
-    clocks = a.clocks if clock in a.clocks else a.clocks + (clock,)
-    finals = frozenset(l for l in a.finals if l not in context)
-    return make_ta(locations, a.initial, finals, clocks, invariants, switches)
+    invariants = {
+        loc: product.invariants[base] for loc, _, _, base in records if base in product.invariants
+    }
+    finals = frozenset(l for l in product.finals if not covering[position[l[0]]])
+    return make_ta([r[0] for r in records], product.initial, finals, clocks, invariants, switches)
 
 
 def transform_plan(
-    plan: Plan, platform: TimedAutomaton, constraints: ConstraintSet
+    plan: Plan, platform: TimedAutomaton, constraints: ConstraintSet,
+    encoding: Optional[TimedAutomaton] = None,
 ) -> Optional[tuple]:
     """Timed realization of the plan interleaved with platform actions, or
     None when the constraints are unsatisfiable.  The platform automaton is
-    ε-augmented automatically; ε never shows up in the result.
+    ε-augmented automatically; ε never shows up in the result.  A caller
+    that has already built `build_encoding(plan, platform, constraints)`
+    passes it as `encoding`, so it is not built again.
 
     Platform constants may be rationals; constraint intervals are naturals.
     The zones run on the encoding with every constant multiplied by the lcm
@@ -356,7 +337,9 @@ def transform_plan(
                 "for self-loops without guard or resets"
             )
     scale = scale_lcm(platform.constants())
-    run = zone_reach(build_encoding(plan, platform, constraints).scaled(scale))
+    if encoding is None:
+        encoding = build_encoding(plan, platform, constraints)
+    run = zone_reach(encoding.scaled(scale))
     if run is None:
         return None
     return tuple((label, t / scale) for label, t in run_to_timed_word(run))
@@ -365,15 +348,17 @@ def transform_plan(
 def build_encoding(
     plan: Plan, platform: TimedAutomaton, constraints: ConstraintSet
 ) -> TimedAutomaton:
-    """The fully constrained product automaton (exposed for inspection)."""
-    platform = platform.with_epsilon_loops()
-    product = parallel_compose(encode_plan(plan, constraints), platform)
-    platform_names = frozenset(str(l) for l in platform.locations)
-    for ci, chain in enumerate(constraints.chain):
-        clock = f"x_chain{ci}"
-        for act in sorted(get_activations(chain, plan), key=lambda a: (a.s, a.e)):
-            product = enforce_chain(product, act, chain, clock, platform_names)
-    return product
+    """The fully constrained product automaton (exposed for inspection): the
+    plan encoding composed with the ε-augmented platform, then every chain
+    activation's surgery, chain by chain and in plan order, in one
+    `enforce_chain` pass."""
+    product = parallel_compose(encode_plan(plan, constraints), platform.with_epsilon_loops())
+    activations = [
+        (act, chain, f"x_chain{ci}")
+        for ci, chain in enumerate(constraints.chain)
+        for act in sorted(get_activations(chain, plan), key=lambda a: (a.s, a.e))
+    ]
+    return enforce_chain(product, activations) if activations else product
 
 
 # --- independent validation ---------------------------------------------------------
@@ -594,7 +579,8 @@ def validate_transformed(
     semantics and every constraint holds under the independent trace-formula
     semantics (with the platform's silent stage-crossing moves restored as
     observation points)."""
-    plan_sub = [a for a, _ in trace if a in set(plan.actions)]
+    plan_actions = set(plan.actions)
+    plan_sub = [a for a, _ in trace if a in plan_actions]
     if plan_sub != list(plan.actions):
         return False
     word = trace_word(plan, platform, trace)

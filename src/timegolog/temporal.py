@@ -177,7 +177,7 @@ class Window(NamedTuple):
             return self.lo
         if self.hi is None:
             return self.lo + 1
-        return self.lo + (self.hi - self.lo) / 2
+        return self.lo + Fraction(self.hi - self.lo, 2)
 
 
 def eval_constraint(valuation: Mapping[str, Fraction], g: ClockConstraint) -> bool:

@@ -9,9 +9,12 @@ canonical form.  The reachability search stores delay-closed zones with
 every clock that is dead at the zone's location freed: a static liveness
 pass (`live_clocks`) finds the clocks a location reads again before
 resetting them, so zones that differ only in the others are stored and
-expanded once.  It returns a concrete run: a switch sequence with exact
-rational delays chosen inside the feasible zone chain on the automaton
-itself, replayed before it is returned.
+expanded once; each successor is computed on one copy of its parent's
+matrix.  The search returns a concrete run: a switch sequence with exact
+delays chosen inside the feasible zone chain on the automaton itself,
+replayed before it is returned.  Extraction and replay hold a valuation as
+the current time and each clock's last reset time, so a step touches only
+the clocks it resets.
 
 A matrix is a flat row-major list of Python integers with bounds packed
 into them: a bound "difference <= v" is 2v+1, "difference < v" is 2v, and
@@ -29,17 +32,17 @@ path through any DBM that fits in memory reaches INF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, NamedTuple, Optional
 
 from .temporal import (
     ClockConstraint,
     ResourceError,
     TRUE_CONSTRAINT,
     Window,
-    eval_constraint,
+    compare,
 )
 
 EPSILON = "ε"
@@ -65,6 +68,70 @@ def _add(a: int, b: int) -> int:
     if a >= INF or b >= INF:
         return INF
     return a + b - ((a | b) & 1)
+
+
+def _conjoin(m: list, n: int, bounds):
+    """Conjoin packed bounds (i, j, bound on x_i - x_j) to the canonical
+    n x n matrix m in place, restoring canonical form in O(n^2) per bound:
+    every bound may now route through the new edge.  A negative cycle
+    through the edge empties the zone: the bound is recorded, x_0 - x_0 < 0
+    marks the zone empty, and an empty zone takes no further tightening."""
+    for i, j, packed in bounds:
+        if packed >= m[i * n + j] or m[0] < LE_ZERO:
+            continue
+        if _add(packed, m[j * n + i]) < LE_ZERO:
+            m[i * n + j] = packed
+            m[0] = _lt(0)
+            continue
+        row_j = m[j * n:(j + 1) * n]
+        for a in range(0, n * n, n):
+            ai = m[a + i]
+            if ai >= INF:
+                continue
+            via = _add(ai, packed)
+            for b, jb in enumerate(row_j):  # _add inlined: the hot loop
+                if jb < INF:
+                    s = via + jb - ((via | jb) & 1)
+                    if s < m[a + b]:
+                        m[a + b] = s
+
+
+def _reset(m: list, n: int, ys):
+    """Zero clocks ys in place; a canonical matrix stays canonical."""
+    for y in ys:
+        m[y * n:(y + 1) * n] = m[:n]
+        m[y::n] = m[::n]
+        m[y * n + y] = m[y * n] = m[y] = LE_ZERO
+
+
+def _free(m: list, n: int, ys):
+    """Drop all constraints on clocks ys but non-negativity, in place: row
+    x := infinity, column x := column 0 (canonical stays canonical)."""
+    for y in ys:
+        m[y * n:(y + 1) * n] = [INF] * n
+        m[y::n] = m[::n]
+        m[y] = m[y * n + y] = LE_ZERO
+
+
+def _down(m: list, n: int):
+    """Past closure with non-negative clocks, in place: each clock keeps the
+    lower bound its differences imply (canonical stays canonical)."""
+    for j in range(1, n):
+        m[j] = min(LE_ZERO, min(m[n + j::n]))
+
+
+def _constraint_bounds(g: ClockConstraint, index: dict) -> tuple:
+    """The packed bounds (i, j, bound on x_i - x_j) of g's atoms."""
+    out = []
+    for clock, rel, const in g.atoms:
+        if type(const) is not int or const > MAX_CONSTANT:  # scale rational automata first
+            raise ValueError(f"clock constant {const} is not an integer, or exceeds 2**40")
+        i = index[clock]
+        if rel in ("<", "<=", "="):
+            out.append((i, 0, _lt(const) if rel == "<" else _le(const)))
+        if rel in (">", ">=", "="):
+            out.append((0, i, _lt(-const) if rel == ">" else _le(-const)))
+    return tuple(out)
 
 
 class Zone:
@@ -126,59 +193,14 @@ class Zone:
     def is_empty(self) -> bool:
         return min(self.m[:: len(self.clocks) + 2]) < LE_ZERO
 
-    def _tighten(self, i: int, j: int, packed: int):
-        """Conjoin x_i - x_j (packed) to a canonical zone and restore
-        canonical form in O(n^2): every bound may now route through the new
-        edge.  A negative cycle through the edge empties the zone: the bound
-        is recorded, x_0 - x_0 < 0 marks the zone empty, and an empty zone
-        takes no further tightening."""
-        m = self.m
-        n = len(self.clocks) + 1
-        if packed >= m[i * n + j] or m[0] < LE_ZERO:
-            return
-        if _add(packed, m[j * n + i]) < LE_ZERO:
-            m[i * n + j] = packed
-            m[0] = _lt(0)
-            return
-        row_j = m[j * n:(j + 1) * n]
-        for a in range(0, n * n, n):
-            ai = m[a + i]
-            if ai >= INF:
-                continue
-            via = _add(ai, packed)
-            for b, jb in enumerate(row_j):  # _add inlined: the hot loop
-                if jb < INF:
-                    s = via + jb - ((via | jb) & 1)
-                    if s < m[a + b]:
-                        m[a + b] = s
-
-    def _apply_atom(self, clock: str, rel: str, const: int):
-        if not isinstance(const, int) or abs(const) > MAX_CONSTANT:
-            raise ValueError(  # rational automata are scaled before zones are built
-                f"clock constant {const} is not an integer, or exceeds 2**40"
-            )
-        i = self._index[clock]
-        if rel in ("<", "<="):
-            self._tighten(i, 0, _lt(const) if rel == "<" else _le(const))
-        elif rel in (">", ">="):
-            self._tighten(0, i, _lt(-const) if rel == ">" else _le(-const))
-        elif rel == "=":
-            self._tighten(i, 0, _le(const))
-            self._tighten(0, i, _le(-const))
-        else:
-            raise ValueError(f"unknown relation {rel!r}")
-
     def and_atom(self, clock: str, rel: str, const: int) -> "Zone":
-        z = self.copy()
-        z._apply_atom(clock, rel, const)
-        return z
+        return self.and_constraint(ClockConstraint(((clock, rel, const),)))
 
     def and_constraint(self, g: ClockConstraint) -> "Zone":
         if not g.atoms:
             return self
         z = self.copy()
-        for clock, rel, const in g.atoms:
-            z._apply_atom(clock, rel, const)
+        _conjoin(z.m, len(self.clocks) + 1, _constraint_bounds(g, self._index))
         return z
 
     def intersect(self, other: "Zone") -> "Zone":
@@ -193,16 +215,9 @@ class Zone:
         return z
 
     def down(self) -> "Zone":
-        """Past closure intersected with non-negative clocks: going back in
-        time stops when some clock reaches 0, so each clock keeps only the
-        lower bound its differences to the other clocks imply.  Input
-        canonical and non-empty; the result is canonical as it stands
-        (Bengtsson & Yi, 2004)."""
+        """Past closure (`_down`); input canonical and non-empty."""
         z = self.copy()
-        m = z.m
-        n = len(self.clocks) + 1
-        for j in range(1, n):
-            m[j] = min(LE_ZERO, min(m[n + j::n]))
+        _down(z.m, len(self.clocks) + 1)
         return z
 
     def reset(self, names: Iterable[str]) -> "Zone":
@@ -210,44 +225,16 @@ class Zone:
         if not names:
             return self
         z = self.copy()
-        m = z.m
-        n = len(self.clocks) + 1
-        for name in names:
-            y = z._index[name]
-            m[y * n:(y + 1) * n] = m[:n]
-            m[y::n] = m[::n]
-            m[y * n + y] = m[y * n] = m[y] = LE_ZERO
+        _reset(z.m, len(self.clocks) + 1, [self._index[c] for c in names])
         return z
 
     def free(self, names: Iterable[str]) -> "Zone":
-        """Remove all constraints on the given clocks except non-negativity.
-
-        The input must be canonical and non-empty.  A freed clock x gets no
-        upper bound (row x := infinity) and x_j - x is bounded as x_j is
-        (column x := column 0); on a canonical matrix the result is
-        canonical as it stands (Bengtsson & Yi, 2004), so freeing costs
-        O(n) per clock and no closure."""
+        """Unconstrain the given clocks (`_free`); input canonical, non-empty."""
         if not names:
             return self
         z = self.copy()
-        m = z.m
-        n = len(self.clocks) + 1
-        for name in names:
-            y = z._index[name]
-            m[y * n:(y + 1) * n] = [INF] * n
-            m[y::n] = m[::n]
-            m[y] = m[y * n + y] = LE_ZERO
+        _free(z.m, len(self.clocks) + 1, [self._index[c] for c in names])
         return z
-
-    def reset_pre(self, names: Iterable[str]) -> "Zone":
-        """Weakest pre-zone of a reset: valuations landing here after zeroing."""
-        names = tuple(names)
-        z = self.copy()
-        for name in names:
-            z._apply_atom(name, "=", 0)
-        if z.is_empty():
-            return z
-        return z.free(names)
 
     def extrapolate(self, k: int) -> "Zone":
         """Classical maximal-bound abstraction: bounds above k are dropped,
@@ -281,24 +268,23 @@ class Zone:
                 return False
         return True
 
-    def delay_interval(self, valuation: dict) -> Optional[Window]:
-        """Feasible delays d with valuation+d inside the zone; None if empty."""
-        lo, lo_strict = Fraction(0), False
+    def firing_window(self, now, reset_at) -> Optional[Window]:
+        """Times t >= now at which the valuation lies in the zone, or None:
+        clock self.clocks[i] was last reset at reset_at[i], so at time t it
+        reads t - reset_at[i]; differences of clocks do not change."""
+        lo, lo_strict = now, False
         hi, hi_strict = None, False
-        vals = [Fraction(0)] + [valuation[c] for c in self.clocks]
         for i, j, v, strict in self._bounds():
-            if i == 0 and j > 0:
-                # -x_j - d <= v  =>  d >= -v - x_j
-                cand = -v - vals[j]
+            if i == 0:  # -x_j <= v, so t >= reset_at[j] - v
+                cand = reset_at[j - 1] - v
                 if cand > lo or (cand == lo and strict):
                     lo, lo_strict = cand, strict
-            elif j == 0 and i > 0:
-                # x_i + d <= v  =>  d <= v - x_i
-                cand = v - vals[i]
+            elif j == 0:  # x_i <= v, so t <= reset_at[i] + v
+                cand = reset_at[i - 1] + v
                 if hi is None or cand < hi or (cand == hi and strict):
                     hi, hi_strict = cand, strict
             else:
-                diff = vals[i] - vals[j]
+                diff = reset_at[j - 1] - reset_at[i - 1]
                 if (diff >= v) if strict else (diff > v):
                     return None
         window = Window(lo, lo_strict, hi, hi_strict)
@@ -311,8 +297,7 @@ class Zone:
 # --- the automaton ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Switch:
+class Switch(NamedTuple):  # a named tuple, cheap to build: products hold thousands
     src: Hashable
     label: str
     guard: ClockConstraint
@@ -366,7 +351,7 @@ class TimedAutomaton:
         return TimedAutomaton(
             self.locations, self.initial, self.finals, self.clocks,
             {l: g.scaled(factor) for l, g in self.invariants.items()},
-            tuple(replace(sw, guard=sw.guard.scaled(factor)) for sw in self.switches),
+            tuple(sw._replace(guard=sw.guard.scaled(factor)) for sw in self.switches),
         )
 
     def with_epsilon_loops(self) -> "TimedAutomaton":
@@ -402,8 +387,9 @@ def parallel_compose(a1: TimedAutomaton, a2: TimedAutomaton) -> TimedAutomaton:
     locations = tuple((l1, l2) for l1 in a1.locations for l2 in a2.locations)
     invariants = {}
     for l1, l2 in locations:
-        inv = a1.invariant(l1).conjoin(a2.invariant(l2))
-        if inv.atoms:
+        inv1, inv2 = a1.invariants.get(l1), a2.invariants.get(l2)
+        inv = inv1.conjoin(inv2) if inv1 and inv2 else inv1 or inv2
+        if inv and inv.atoms:
             invariants[(l1, l2)] = inv
     switches = []
     for sw in a1.switches:
@@ -429,30 +415,36 @@ def parallel_compose(a1: TimedAutomaton, a2: TimedAutomaton) -> TimedAutomaton:
 class Run:
     """Accepting run: per step the switch taken and the exact delay before it."""
 
-    steps: tuple  # of (Switch, Fraction)
+    steps: tuple  # of (Switch, exact delay)
 
     def replay_valuations(self, ta: TimedAutomaton):
-        """Concrete valuations along the run; raises if a guard or invariant
-        fails, which would mean the witness is unsound."""
-        valuation = {c: Fraction(0) for c in ta.clocks}
+        """Replay the run on the automaton's guards and invariants, on the
+        current time and each clock's last reset time; raises if one fails,
+        which would mean the witness is unsound."""
+        reset_at = dict.fromkeys(ta.clocks, 0)
+        now = 0
+
+        def holds(g: ClockConstraint) -> bool:
+            return all(compare(now - reset_at[c], rel, k) for c, rel, k in g.atoms)
+
         loc = ta.initial
-        if not eval_constraint(valuation, ta.invariant(loc)):
+        if not holds(ta.invariant(loc)):
             raise AssertionError("initial valuation violates the invariant")
-        trail = [(loc, dict(valuation))]
         for sw, delay in self.steps:
             if sw.src != loc:
                 raise AssertionError("run is not connected")
-            valuation = {c: v + delay for c, v in valuation.items()}
-            if not eval_constraint(valuation, ta.invariant(loc)):
+            if delay < 0:
+                raise AssertionError("negative delay")
+            now += delay
+            if not holds(ta.invariant(loc)):
                 raise AssertionError("delay violates the source invariant")
-            if not eval_constraint(valuation, sw.guard):
+            if not holds(sw.guard):
                 raise AssertionError("guard fails on replay")
-            valuation = {c: (Fraction(0) if c in sw.resets else v) for c, v in valuation.items()}
+            for c in sw.resets:
+                reset_at[c] = now
             loc = sw.dst
-            if not eval_constraint(valuation, ta.invariant(loc)):
+            if not holds(ta.invariant(loc)):
                 raise AssertionError("target invariant fails on replay")
-            trail.append((loc, dict(valuation)))
-        return trail
 
 
 def run_to_timed_word(run: Run) -> tuple:
@@ -517,55 +509,71 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
     by letting time pass in its location, and a successor under switch
     (g, r, dst) is free_D(up(reset_r(Z ∧ g) ∧ inv_dst) ∧ inv_dst),
     extrapolated, where D holds the clocks dead at dst (`live_clocks`).
-    Zones that differ only in dead clocks are thereby one zone.  A
-    self-loop without guard or resets maps such a zone into itself, so it
-    is never taken.  The witness is extracted and replayed on the automaton
-    itself, with no clock freed."""
+    Zones that differ only in dead clocks are thereby one zone.  Guards and
+    invariants are packed into matrix bounds once, and a successor is
+    computed on one copy of its parent's matrix.  A self-loop without
+    guard or resets maps a zone into itself, so it is never taken.  The
+    witness is extracted and replayed on the automaton itself, with no
+    clock freed."""
     from collections import deque
 
     k = ta.max_constant()
+    n = len(ta.clocks) + 1
+    clock_index = {c: i + 1 for i, c in enumerate(ta.clocks)}
+    packed: dict = {}  # id of a guard or invariant -> its packed bounds
+
+    def bounds(g: ClockConstraint) -> tuple:
+        if id(g) not in packed:
+            packed[id(g)] = _constraint_bounds(g, clock_index)
+        return packed[id(g)]
+
     # locations by their index in ta.locations: product locations are
     # nested tuples, whose hash is recomputed on every lookup
     index = {l: i for i, l in enumerate(ta.locations)}
-    invariant = [ta.invariant(l) for l in ta.locations]
+    invariant = [bounds(ta.invariant(l)) for l in ta.locations]
     final = [l in ta.finals for l in ta.locations]
     live = live_clocks(ta)
-    names = {
-        mask: tuple(c for i, c in enumerate(ta.clocks) if not mask >> i & 1)
-        for mask in set(live)
-    }
-    dead = [names[mask] for mask in live]
+    freed = {mask: tuple(i + 1 for i in range(n - 1) if not mask >> i & 1) for mask in set(live)}
+    dead = [freed[mask] for mask in live]
     switches_from = [[] for _ in ta.locations]  # in switch index order
     for idx, sw in enumerate(ta.switches):
         if sw.src == sw.dst and not sw.guard.atoms and not sw.resets:
             continue
-        switches_from[index[sw.src]].append((idx, sw.guard, sw.resets, index[sw.dst]))
+        resets = tuple(clock_index[c] for c in sw.resets)
+        switches_from[index[sw.src]].append((idx, bounds(sw.guard), resets, index[sw.dst]))
 
     start = index[ta.initial]
-    inv0 = invariant[start]
+    inv0 = ta.invariant(ta.initial)
     init = Zone.zero(ta.clocks).and_constraint(inv0)
     if init.is_empty():
         return None
-    init = init.up().and_constraint(inv0).free(dead[start])
-    # node: (location index, zone); parents: node id -> (parent id, switch index)
+    init = init.up().and_constraint(inv0)
+    _free(init.m, n, dead[start])
+    # node: (location index, zone); parents: node id -> (parent id, switch)
     nodes = [(start, init)]
     parents = {0: None}
     stored = {start: [init]}
     queue = deque([0])
     goal = 0 if final[start] else None
+    unbounded = [INF] * (n - 1)
 
     while queue and goal is None:
         nid = queue.popleft()
         loc, zone = nodes[nid]
-        for idx, guard, resets, dst in switches_from[loc]:
-            z = zone.and_constraint(guard)
-            if z.is_empty():
+        for succ in switches_from[loc]:
+            _, guard, resets, dst = succ
+            m = zone.m[:]
+            _conjoin(m, n, guard)
+            if m[0] < LE_ZERO:
                 continue
-            inv = invariant[dst]
-            z = z.reset(resets).and_constraint(inv)
-            if z.is_empty():
+            _reset(m, n, resets)
+            _conjoin(m, n, invariant[dst])
+            if m[0] < LE_ZERO:
                 continue
-            z = z.up().and_constraint(inv).free(dead[dst]).extrapolate(k)
+            m[n::n] = unbounded  # up
+            _conjoin(m, n, invariant[dst])
+            _free(m, n, dead[dst])
+            z = zone._with(m).extrapolate(k)
             bucket = stored.setdefault(dst, [])
             if any(existing.includes(z) for existing in bucket):
                 continue
@@ -573,7 +581,7 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
             new_id = len(nodes) - 1
             if len(nodes) > budget:
                 raise ResourceError(f"zone graph exceeded {budget} nodes")
-            parents[new_id] = (nid, idx)
+            parents[new_id] = (nid, loc, succ)
             bucket.append(z)
             queue.append(new_id)
             if final[dst]:
@@ -586,9 +594,8 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
     path = []
     cur = goal
     while parents[cur] is not None:
-        pid, idx = parents[cur]
-        path.append(ta.switches[idx])
-        cur = pid
+        cur, src, (idx, guard, resets, dst) = parents[cur]
+        path.append((ta.switches[idx], guard, resets, invariant[src], invariant[dst]))
     path.reverse()
     run = _extract_run(ta, path)
     run.replay_valuations(ta)
@@ -597,39 +604,43 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
 
 def _extract_run(ta: TimedAutomaton, path: list) -> Run:
     """Concrete delays for a fixed switch path via backward zone propagation,
-    then greedy forward choice of the earliest feasible delay.
+    then greedy forward choice of the earliest feasible firing time.
 
-    post[i] is the feasible set for the valuation at the moment switch i
-    fires (after the delay, before the reset), taking the whole remaining
-    suffix into account.
-    """
-    n = len(path)
-    post = [None] * n
-    for i in range(n - 1, -1, -1):
-        sw = path[i]
-        if i == n - 1:
-            after_reset = Zone.universal(ta.clocks).and_constraint(ta.invariant(sw.dst))
-        else:
-            after_reset = post[i + 1].down().and_constraint(ta.invariant(sw.dst))
-        post[i] = (
-            after_reset.reset_pre(sw.resets)
-            .and_constraint(sw.guard)
-            .and_constraint(ta.invariant(sw.src))
-        )
-        if post[i].is_empty():
+    A step is (switch, packed guard, reset clock indices, packed source and
+    target invariants).  post[i] is the feasible set for the valuation at
+    the moment switch i fires (after the delay, before the reset), taking
+    the whole remaining suffix into account.  Times stay exact: ints, or a
+    Fraction where a window open at both ends puts a midpoint."""
+    n = len(ta.clocks) + 1
+    universal = Zone.universal(ta.clocks)
+    post = [None] * len(path)
+    m = universal.m  # its past closure is itself
+    for i in range(len(path) - 1, -1, -1):
+        _, guard, resets, inv_src, inv_dst = path[i]
+        m = m[:]
+        _down(m, n)
+        # weakest pre-zone of the reset: each reset clock read 0 after it
+        zeroed = tuple(b for y in resets for b in ((y, 0, LE_ZERO), (0, y, LE_ZERO)))
+        _conjoin(m, n, inv_dst + zeroed)
+        _free(m, n, resets)
+        _conjoin(m, n, guard + inv_src)
+        if m[0] < LE_ZERO:
             raise AssertionError("infeasible path from zone search")
+        post[i] = universal._with(m)
 
-    valuation = {c: Fraction(0) for c in ta.clocks}
-    delays = []
-    for i, sw in enumerate(path):
-        interval = post[i].delay_interval(valuation)
-        if interval is None:
+    now = 0
+    reset_at = [0] * (n - 1)
+    steps = []
+    for (sw, _, resets, _, _), zone in zip(path, post):
+        window = zone.firing_window(now, reset_at)
+        if window is None:
             raise AssertionError("no feasible delay on replay")
-        d = interval.earliest()
-        delays.append(d)
-        valuation = {c: v + d for c, v in valuation.items()}
-        valuation = {c: (Fraction(0) if c in sw.resets else v) for c, v in valuation.items()}
-    return Run(tuple(zip(path, delays)))
+        t = window.earliest()
+        steps.append((sw, t - now))
+        now = t
+        for y in resets:
+            reset_at[y - 1] = t
+    return Run(tuple(steps))
 
 
 # --- serialization ----------------------------------------------------------------

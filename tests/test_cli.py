@@ -508,6 +508,26 @@ def test_identical_invocations_are_byte_identical(transform_files, capsys):
     assert first == second
 
 
+def test_transform_dot_builds_the_product_once(transform_files, tmp_path, capsys, monkeypatch):
+    argv = ["transform", "--plan", transform_files["plan"], "--platform",
+            transform_files["platform"], "--constraints", transform_files["constraints"]]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    built = []
+    build = plantrans.build_encoding
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(plantrans, "build_encoding", counted)
+    dot = tmp_path / "enc.dot"
+    assert main(argv + ["--dot", str(dot)]) == 0
+    assert capsys.readouterr().out == plain
+    assert len(built) == 1
+    assert dot.read_text() == timed_automata.ta_to_dot(built[0])
+
+
 def test_transform_dot_is_the_same_under_any_hash_seed(transform_files, tmp_path):
     # chain stages used to list their locations in set order, which follows
     # the string hash seed

@@ -328,6 +328,20 @@ def test_overlapping_chains_nest_stage_tags_in_a_pinned_order():
     assert validate_transformed(trace, GOTO_PLAN, camera_platform_ta(), OVERLAPPING_CHAINS)
 
 
+def test_platform_locations_named_like_plan_locations():
+    # the stage predicate reads the platform component of ("l1", "l0"),
+    # which is "l0", even though "l1" is a platform location too
+    platform = make_ta(("l0", "l1"), "l0", ("l0", "l1"), (),
+                       switches=[Switch("l0", "go", ClockConstraint(), frozenset(), "l1")])
+    plan = Plan(("a", "b"))
+    cs = ConstraintSet(chain=(Chain(((Atom("l1"), Interval(0, None)),), "a", "b"),))
+    enc = ta_to_json(build_encoding(plan, platform, cs))
+    assert [l for l in enc["locations"] if "stage" in l] == ["l1|l1|stage|x_chain0|1"]
+    trace = transform_plan(plan, platform, cs)
+    assert trace == (("go", 0), ("a", 0), ("b", 0))
+    assert validate_transformed(trace, plan, platform, cs)
+
+
 def test_windows_open_at_both_ends_give_exact_midpoint_delays():
     # each window is open at both ends, so extraction picks its midpoint:
     # delays 1/2, 3/2 and 5/2

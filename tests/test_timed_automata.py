@@ -9,7 +9,7 @@ from timegolog import synthesis, timed_automata
 from timegolog.mtl import Interval
 from timegolog.parsing import load_ta, parse_guard_atoms
 from timegolog.plantrans import ConstraintSet, Plan, Rel, encode_plan
-from timegolog.temporal import ClockConstraint, ResourceError
+from timegolog.temporal import ClockConstraint, ResourceError, Window
 from timegolog.timed_automata import (
     EPSILON,
     INF,
@@ -76,11 +76,19 @@ class TestZone:
         assert z.contains_point({"x": Q(1), "y": Q(1)})
         assert not z.contains_point({"x": Q(1), "y": Q(2)})
 
-    def test_delay_interval(self):
+    def test_firing_window(self):
         z = Zone.universal(("x",)).and_atom("x", ">=", 4).and_atom("x", "<=", 6)
-        lo, lo_strict, hi, hi_strict = z.delay_interval({"x": Q(1)})
-        assert (lo, lo_strict, hi, hi_strict) == (Q(3), False, Q(5), False)
-        assert z.delay_interval({"x": Q(7)}) is None
+        # x was reset at 2, so at time 3 it reads 1: the zone holds from 6 to 8
+        assert z.firing_window(3, [2]) == Window(6, False, 8, False)
+        assert z.firing_window(9, [2]) is None  # x reads 7
+        # a difference of clocks does not move with time
+        both = Zone.universal(self.CLOCKS).and_atom("x", "<", 3)
+        both = both.reset(["y"]).up().and_atom("y", ">", 1).and_atom("x", "<=", 4)
+        assert both.firing_window(Q(1, 2), [0, Q(1, 2)]) == Window(Q(3, 2), True, 4, False)
+        assert both.firing_window(0, [0, 3]) is None  # x - y = 3 here
+        # a window open at both ends yields its exact midpoint, never a float
+        assert Window(1, True, 2, True).earliest() == Q(3, 2)
+        assert type(Window(1, True, 3, True).earliest()) is Q
 
     def test_operations_preserve_canonical_form(self):
         rng = random.Random(13)
@@ -124,9 +132,7 @@ class TestZone:
                 # non-empty zones missed by the half-integer grid must be
                 # thin slices; the delay interval from some grid point
                 # witnesses a member instead
-                found = any(
-                    z.delay_interval({"x": xv, "y": xv}) is not None for xv in grid
-                )
+                found = any(z.firing_window(xv, [0, 0]) is not None for xv in grid)
                 assert found or True  # sampling is a one-sided check
 
 
