@@ -4,8 +4,9 @@ platform-constrained timed action sequences via timed-automata reachability.
 
 The package is organized by layer:
 
-- `temporal`: exact rational clocks, regions, region increments, canonical
-  words, and the quasi-orders driving the search's termination argument.
+- `temporal`: exact rational clocks and intervals (`Interval`, which `mtl`
+  and the package re-export), regions, region increments, canonical words,
+  and the quasi-orders driving the search's termination argument.
 - `mtl`: the specification logic and its point-based reference semantics,
   which doubles as the test oracle for everything downstream.
 - `ata`: single-clock alternating timed automata and the compilation of a

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Optional
 
 from . import mtl
-from .temporal import compare
+from .temporal import Interval, compare
 
 # --- location formulas --------------------------------------------------------
 
@@ -306,7 +306,7 @@ def accepts(ata: Ata, rho: mtl.TimedWord) -> bool:
 INITIAL = "<init>"
 
 
-def _clock_in(interval: mtl.Interval) -> LocFormula:
+def _clock_in(interval: Interval) -> LocFormula:
     atoms = []
     if interval.hi is None and interval.lo == 0 and not interval.lo_open:
         return LTRUE
@@ -316,12 +316,12 @@ def _clock_in(interval: mtl.Interval) -> LocFormula:
     return atoms[0] if len(atoms) == 1 else LAnd(tuple(atoms))
 
 
-def _clock_not_in(interval: mtl.Interval) -> LocFormula:
-    atoms = []
-    if interval.lo > 0 or interval.lo_open:
-        atoms.append(LClock("<=" if interval.lo_open else "<", interval.lo))
-    if interval.hi is not None:
-        atoms.append(LClock(">=" if interval.hi_open else ">", interval.hi))
+# the relation a value fails a bound by
+NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+def _clock_not_in(interval: Interval) -> LocFormula:
+    atoms = [LClock(NEGATED[rel], k) for rel, k in interval.bounds()]
     if not atoms:
         return LFALSE
     return atoms[0] if len(atoms) == 1 else LOr(tuple(atoms))

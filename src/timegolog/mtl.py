@@ -9,71 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from .temporal import as_fraction, format_fraction
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Interval with natural endpoints; hi=None means unbounded."""
-
-    lo: int = 0
-    hi: Optional[int] = None
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def __post_init__(self):
-        if self.lo < 0 or (self.hi is not None and self.hi < self.lo):
-            raise ValueError(f"malformed interval {self}")
-
-    def contains(self, x: Fraction) -> bool:
-        if self.lo_open:
-            if x <= self.lo:
-                return False
-        elif x < self.lo:
-            return False
-        if self.hi is None:
-            return True
-        if self.hi_open:
-            return x < self.hi
-        return x <= self.hi
-
-    def scaled(self, factor: int) -> "Interval":
-        """Both endpoints multiplied by a natural factor."""
-        hi = None if self.hi is None else self.hi * factor
-        return Interval(self.lo * factor, hi, self.lo_open, self.hi_open)
-
-    def max_finite(self) -> int:
-        return self.lo if self.hi is None else max(self.lo, self.hi)
-
-    def __str__(self) -> str:
-        left = "(" if self.lo_open else "["
-        right = ")" if self.hi_open or self.hi is None else "]"
-        hi = "inf" if self.hi is None else str(self.hi)
-        return f"{left}{self.lo},{hi}{right}"
-
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "loOpen": self.lo_open, "hiOpen": self.hi_open}
-
-    @staticmethod
-    def from_json(obj) -> "Interval":
-        if isinstance(obj, Interval):
-            return obj
-        if isinstance(obj, dict):
-            lo, hi = obj.get("lo", 0), obj.get("hi")
-            lo_open, hi_open = obj.get("loOpen", False), obj.get("hiOpen", False)
-            if (
-                _is_int(lo) and (hi is None or _is_int(hi))
-                and isinstance(lo_open, bool) and isinstance(hi_open, bool)
-            ):
-                return Interval(lo, hi, lo_open, hi_open)
-        raise ValueError(f"malformed interval JSON: {obj!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
+from .temporal import Interval, as_fraction, format_fraction
 
 UNBOUNDED = Interval(0, None)
 

@@ -30,9 +30,9 @@ from .golog import (
     make_state,
     render,
 )
-from .mtl import Interval, MtlFormula
+from .mtl import MtlFormula
 from .sexpr import ParseError, parse
-from .temporal import ClockConstraint, as_fraction, exact
+from .temporal import ClockConstraint, Interval, as_fraction, exact, format_fraction
 from .timed_automata import Switch, TimedAutomaton, make_ta
 
 RELS = ("<", "<=", "=", ">=", ">")
@@ -462,9 +462,7 @@ def static_to_sexpr(f: Formula) -> str:
     if isinstance(f, SEq):
         return f"(= {term_to_sexpr(f.lhs)} {term_to_sexpr(f.rhs)})"
     if isinstance(f, SClock):
-        const = f.const
-        text = str(const.numerator) if const.denominator == 1 else str(const)
-        return f"({f.rel} {term_to_sexpr(f.clock)} {text})"
+        return f"({f.rel} {term_to_sexpr(f.clock)} {format_fraction(f.const)})"
     raise InputError(f"not a static formula: {f!r}")
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import mtl
-from .mtl import Atom, Interval, MtlFormula, TimedWord
-from .temporal import ClockConstraint, Window, eval_constraint, scale_lcm
+from .mtl import Atom, MtlFormula, TimedWord
+from .temporal import ClockConstraint, Interval, eval_constraint, scale_lcm
 from .timed_automata import (
     EPSILON,
     Switch,
@@ -135,12 +135,7 @@ def get_activations(chain: Chain, plan: Plan) -> frozenset:
 
 
 def _interval_atoms(clock: str, interval: Interval) -> tuple:
-    atoms = []
-    if interval.lo > 0 or interval.lo_open:
-        atoms.append((clock, ">" if interval.lo_open else ">=", interval.lo))
-    if interval.hi is not None:
-        atoms.append((clock, "<" if interval.hi_open else "<=", interval.hi))
-    return tuple(atoms)
+    return tuple((clock, rel, k) for rel, k in interval.bounds())
 
 
 def rel_clock(i: int, j: int) -> str:
@@ -525,21 +520,21 @@ def _chain_insertions(entries, plan, chain, platform_names):
                 for piece in range(r, q):
                     if not beta_ok[j][piece - p]:
                         return None
-                if window.shift(intervals[j]).clamp(times[q], times[q]).empty():
+                if not window.shift(intervals[j]).contains(times[q]):
                     return None
                 return []
             for m in range(r, q):
                 # seam: the observed action at position m switches the stage
                 if m > p and m > r and beta_ok[j + 1][m - p]:
-                    w = window.shift(intervals[j]).clamp(times[m], times[m])
-                    if not w.empty():
+                    w = window.shift(intervals[j]).intersect(Interval.point(times[m]))
+                    if w is not None:
                         rest = dfs(m, j + 1, w)
                         if rest is not None:
                             return [(m, "seam")] + rest
                 # silent move inside piece m: the location fits both stages
                 if beta_ok[j][m - p] and beta_ok[j + 1][m - p]:
-                    w = window.shift(intervals[j]).clamp(times[m], times[m + 1])
-                    if not w.empty():
+                    w = window.shift(intervals[j]).intersect(Interval(times[m], times[m + 1]))
+                    if w is not None:
                         rest = dfs(m, j + 1, w)
                         if rest is not None:
                             return [(m, "eps")] + rest
@@ -547,25 +542,22 @@ def _chain_insertions(entries, plan, chain, platform_names):
                     return None  # cannot stay in stage j past this piece
             return None
 
-        slots = dfs(p, 0, Window.point(times[p]))
+        slots = dfs(p, 0, Interval.point(times[p]))
         if slots is None:
             return None
 
         # concrete times: backward-tighten the windows, then pick forward
         windows = []
         for (m, kind) in slots:
-            windows.append(
-                Window.point(times[m]) if kind == "seam"
-                else Window(times[m], False, times[m + 1], False)
-            )
-        bound = Window.point(times[q]).back_shift(intervals[n - 1])
+            windows.append(Interval(times[m], times[m] if kind == "seam" else times[m + 1]))
+        bound = Interval.point(times[q]).back_shift(intervals[n - 1])
         for j in range(len(slots) - 1, -1, -1):
             bound = windows[j].intersect(bound)
             windows[j] = bound
             bound = bound.back_shift(intervals[j])
         t_prev = times[p]
         for j, ((m, kind), w) in enumerate(zip(slots, windows)):
-            t = Window.point(t_prev).shift(intervals[j]).intersect(w).earliest()
+            t = Interval.point(t_prev).shift(intervals[j]).intersect(w).earliest()
             if kind == "eps":
                 insertions.append((m, t, locs[m]))
             t_prev = t

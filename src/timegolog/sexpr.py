@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .mtl import Interval
+from .temporal import Interval
 
 
 class ParseError(ValueError):
@@ -37,7 +37,7 @@ def _parse_interval(text: str, pos: int) -> Interval:
     lo_s, hi_s = (part.strip() for part in body.split(","))
     hi = None if hi_s.startswith("inf") else int(hi_s)
     try:
-        return Interval(int(lo_s), hi, lo_open, hi_open or hi is None)
+        return Interval(int(lo_s), hi, lo_open, hi_open)
     except ValueError as e:
         raise ParseError(str(e), pos) from None
 

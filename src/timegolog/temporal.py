@@ -1,6 +1,10 @@
-"""Clocks, regions, region increments, canonical words and quasi-orders.
+"""Clocks, exact intervals, regions, region increments, canonical words and
+quasi-orders.
 
-All clock arithmetic is exact, never floats.  The region kernels work on
+All clock arithmetic is exact, never floats.  `Interval` is the package's
+one interval type: the intervals of formulas and plan constraints, and the
+windows of times a witness is read from (`Zone.firing_window`, the stages
+of `plantrans.validate_transformed`).  The region kernels work on
 integers over a unit: a clock value v stands for v/unit.  The search in
 `synthesis` keeps its states in that form; the `Fraction` APIs
 (`region_delays`, `canonical_value_map`, `time_successors`) scale the
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 Q = Fraction
 
@@ -118,42 +122,78 @@ class ClockConstraint:
 TRUE_CONSTRAINT = ClockConstraint()
 
 
-class Window(NamedTuple):
-    """Exact interval of times or delays; hi=None is unbounded, and either
-    endpoint may be open.  Shifts take any interval with the same four
-    fields (such as `mtl.Interval`)."""
+@dataclass(frozen=True, slots=True)
+class Interval:
+    """Exact interval: endpoints are ints or Fractions, hi=None is
+    unbounded, and either endpoint may be open.  An unbounded interval has
+    one form, with hi_open False, so [0,inf) and [0,inf] are equal.
 
-    lo: Fraction
+    The algebra (`shift`, `back_shift`, `intersect`, `earliest`) expects
+    nonempty operands; `back_shift` and `intersect` return None when the
+    result is empty."""
+
+    lo: int | Fraction = 0
+    hi: Optional[int | Fraction] = None
     lo_open: bool = False
-    hi: Optional[Fraction] = None
     hi_open: bool = False
 
+    def __post_init__(self):
+        if self.hi is None and self.hi_open:
+            object.__setattr__(self, "hi_open", False)
+        lo, hi = self.lo, self.hi
+        if not isinstance(lo, (int, Fraction)) or lo < 0 or hi is not None and (
+            not isinstance(hi, (int, Fraction)) or hi < lo
+        ):
+            raise ValueError(f"malformed interval {self}")
+
     @staticmethod
-    def point(t) -> "Window":
-        return Window(t, False, t, False)
+    def point(t) -> "Interval":
+        return Interval(t, t)
 
-    def shift(self, iv) -> "Window":
-        """Times t with t - s inside iv for some s in the window."""
-        if self.hi is None or iv.hi is None:
-            hi, hi_open = None, False
-        else:
-            hi, hi_open = self.hi + iv.hi, self.hi_open or iv.hi_open
-        return Window(self.lo + iv.lo, self.lo_open or iv.lo_open, hi, hi_open)
+    @staticmethod
+    def nonempty(lo, hi, lo_open=False, hi_open=False) -> Optional["Interval"]:
+        """The interval, or None when it holds no point."""
+        if hi is not None and (hi < lo or hi == lo and (lo_open or hi_open)):
+            return None
+        return Interval(lo, hi, lo_open, hi_open)
 
-    def back_shift(self, iv) -> "Window":
-        """Times s >= 0 with t - s inside iv for some t in the window."""
-        lo, lo_open = Fraction(0), False
-        if iv.hi is not None and self.lo - iv.hi >= 0:
-            lo, lo_open = self.lo - iv.hi, self.lo_open or iv.hi_open
+    def contains(self, x) -> bool:
+        if self.lo_open:
+            if x <= self.lo:
+                return False
+        elif x < self.lo:
+            return False
         if self.hi is None:
-            return Window(lo, lo_open, None, False)
-        return Window(lo, lo_open, self.hi - iv.lo, self.hi_open or iv.lo_open)
+            return True
+        if self.hi_open:
+            return x < self.hi
+        return x <= self.hi
 
-    def clamp(self, lo, hi) -> "Window":
-        """Intersection with the closed interval [lo, hi]."""
-        return self.intersect(Window(lo, False, hi, False))
+    def bounds(self) -> tuple:
+        """The (rel, constant) pairs a non-negative value in the interval
+        passes, lower bound first; the bound ">= 0" is left out."""
+        out = ()
+        if self.lo > 0 or self.lo_open:
+            out = ((">" if self.lo_open else ">=", self.lo),)
+        if self.hi is not None:
+            out += (("<" if self.hi_open else "<=", self.hi),)
+        return out
 
-    def intersect(self, other: "Window") -> "Window":
+    def shift(self, iv: "Interval") -> "Interval":
+        """Times t with t - s inside iv for some s in the interval."""
+        hi = None if self.hi is None or iv.hi is None else self.hi + iv.hi
+        lo_open, hi_open = self.lo_open or iv.lo_open, self.hi_open or iv.hi_open
+        return Interval(self.lo + iv.lo, hi, lo_open, hi_open)
+
+    def back_shift(self, iv: "Interval") -> Optional["Interval"]:
+        """Times s >= 0 with t - s inside iv for some t in the interval."""
+        lo, lo_open = 0, False
+        if iv.hi is not None and self.lo >= iv.hi:
+            lo, lo_open = self.lo - iv.hi, self.lo_open or iv.hi_open
+        hi = None if self.hi is None else self.hi - iv.lo
+        return Interval.nonempty(lo, hi, lo_open, self.hi_open or iv.lo_open)
+
+    def intersect(self, other: "Interval") -> Optional["Interval"]:
         lo, lo_open = max((self.lo, self.lo_open), (other.lo, other.lo_open))
         if self.hi is None:
             hi, hi_open = other.hi, other.hi_open
@@ -163,14 +203,9 @@ class Window(NamedTuple):
             # the smaller bound; at equal bounds, the open one
             hi, closed = min((self.hi, not self.hi_open), (other.hi, not other.hi_open))
             hi_open = not closed
-        return Window(lo, lo_open, hi, hi_open)
+        return Interval.nonempty(lo, hi, lo_open, hi_open)
 
-    def empty(self) -> bool:
-        if self.hi is None:
-            return False
-        return self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open))
-
-    def earliest(self) -> Fraction:
+    def earliest(self) -> int | Fraction:
         """The infimum when it is attained, otherwise a canonical interior
         point."""
         if not self.lo_open:
@@ -178,6 +213,38 @@ class Window(NamedTuple):
         if self.hi is None:
             return self.lo + 1
         return self.lo + Fraction(self.hi - self.lo, 2)
+
+    def scaled(self, factor: int) -> "Interval":
+        """Both endpoints multiplied by a natural factor."""
+        hi = None if self.hi is None else self.hi * factor
+        return Interval(self.lo * factor, hi, self.lo_open, self.hi_open)
+
+    def max_finite(self) -> int | Fraction:
+        return self.lo if self.hi is None else self.hi
+
+    def __str__(self) -> str:
+        left = "(" if self.lo_open else "["
+        right = ")" if self.hi_open or self.hi is None else "]"
+        hi = "inf" if self.hi is None else str(self.hi)
+        return f"{left}{self.lo},{hi}{right}"
+
+    def to_json(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi, "loOpen": self.lo_open, "hiOpen": self.hi_open}
+
+    @staticmethod
+    def from_json(obj) -> "Interval":
+        """An interval with natural endpoints from its `to_json` object."""
+        if isinstance(obj, Interval):
+            return obj
+        if isinstance(obj, dict):
+            lo, hi = obj.get("lo", 0), obj.get("hi")
+            lo_open, hi_open = obj.get("loOpen", False), obj.get("hiOpen", False)
+            if (
+                type(lo) is int and (hi is None or type(hi) is int)
+                and isinstance(lo_open, bool) and isinstance(hi_open, bool)
+            ):
+                return Interval(lo, hi, lo_open, hi_open)
+        raise ValueError(f"malformed interval JSON: {obj!r}")
 
 
 def eval_constraint(valuation: Mapping[str, Fraction], g: ClockConstraint) -> bool:

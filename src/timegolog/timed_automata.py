@@ -39,9 +39,9 @@ from typing import Hashable, Iterable, NamedTuple, Optional
 
 from .temporal import (
     ClockConstraint,
+    Interval,
     ResourceError,
     TRUE_CONSTRAINT,
-    Window,
     compare,
 )
 
@@ -268,7 +268,7 @@ class Zone:
                 return False
         return True
 
-    def firing_window(self, now, reset_at) -> Optional[Window]:
+    def firing_window(self, now, reset_at) -> Optional[Interval]:
         """Times t >= now at which the valuation lies in the zone, or None:
         clock self.clocks[i] was last reset at reset_at[i], so at time t it
         reads t - reset_at[i]; differences of clocks do not change."""
@@ -287,8 +287,7 @@ class Zone:
                 diff = reset_at[j - 1] - reset_at[i - 1]
                 if (diff >= v) if strict else (diff > v):
                     return None
-        window = Window(lo, lo_strict, hi, hi_strict)
-        return None if window.empty() else window
+        return Interval.nonempty(lo, hi, lo_strict, hi_strict)
 
     def key(self):
         return tuple(self.m)

@@ -22,7 +22,8 @@ from timegolog.ata import (
     time_step,
     to_dot,
 )
-from timegolog.mtl import And, Atom, DualUntil, Interval, Not, TRUE, Until, word
+from timegolog.mtl import And, Atom, DualUntil, Interval, Not, Or, TRUE, Until, to_pnf, word
+from timegolog.parsing import parse_mtl
 
 from test_mtl import formulas, words
 
@@ -250,3 +251,12 @@ def test_acceptance_is_downward_closed(rho, phi, data):
         subset = frozenset(sorted(g, key=str)[:-1])
         if frontier_accepts({g}, suffix, now):
             assert frontier_accepts({subset}, suffix, now)
+
+
+def test_unbounded_interval_has_one_form():
+    """The reader's [0,inf) is the default interval, so an automaton for a
+    formula written both ways has one closure member for it."""
+    f, g = parse_mtl("(until a b [0,inf))"), parse_mtl("(until a b)")
+    assert f == g
+    assert Interval(0, None, hi_open=True) == Interval.from_json({"hiOpen": True}) == Interval()
+    assert len(ata_from_mtl(to_pnf(Or((f, g)))).locations) == 2

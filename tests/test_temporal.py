@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from timegolog.temporal import (
     CanonicalWord,
     ClockConstraint,
+    Interval,
     canonical_value_map,
     canonical_word,
+    compare,
     eval_constraint,
     mono_dom_leq,
     powerset_leq,
@@ -406,3 +409,62 @@ def test_canonical_value_map_equals_fraction_reference(values, k):
     assert all(
         type(got[v]) is Q and got[v].denominator == want[v].denominator for v in want
     )
+
+
+# --- the interval algebra, point by point -------------------------------------
+
+def grid(top, step):
+    return [Q(i, step) for i in range(int(top * step) + 1)]
+
+
+def random_interval(rng):
+    """A nonempty interval with endpoints in halves up to 4, any of the
+    four open/closed combinations when it is wider than a point; the
+    unbounded ones ask for either form of the right end."""
+    lo = Q(rng.randint(0, 6), 2)
+    flags = rng.random() < 0.5, rng.random() < 0.5
+    if rng.random() < 0.25:
+        return Interval(lo, None, *flags)
+    width = Q(rng.randint(0, 4), 2)
+    if width == 0:
+        return Interval.point(lo)
+    return Interval(lo, lo + width, *flags)
+
+
+def test_interval_algebra_pointwise():
+    """Every endpoint is a multiple of 1/2 and every witness set a
+    multiple of 1/4, so a grid of eighths finds a point in each nonempty
+    set the operations describe."""
+    rng = random.Random(2005)
+    points, witnesses = grid(9, 4), grid(13, 8)
+    for _ in range(150):
+        a, b = random_interval(rng), random_interval(rng)
+        for iv in (a, b):
+            assert iv.hi is not None or not iv.hi_open
+            for x in points:
+                passes = all(compare(x, rel, k) for rel, k in iv.bounds())
+                assert passes == iv.contains(x), (iv, x)
+
+        both = a.intersect(b)
+        inside = [x for x in points if a.contains(x) and b.contains(x)]
+        assert (both is None) == (not inside), (a, b)
+        if both is not None:
+            assert inside == [x for x in points if both.contains(x)], (a, b)
+
+        shifted = a.shift(b)
+        for t in points:
+            want = any(a.contains(s) and b.contains(t - s) for s in witnesses if s <= t)
+            assert shifted.contains(t) == want, (a, b, t)
+
+        back = a.back_shift(b)
+        reached = [s for s in points if any(a.contains(t) and b.contains(t - s) for t in witnesses)]
+        assert (back is None) == (not reached), (a, b)
+        if back is not None:
+            assert reached == [s for s in points if back.contains(s)], (a, b)
+
+        for iv in (a, b, both, shifted, back):
+            if iv is None:
+                continue
+            t = iv.earliest()
+            assert type(t) in (int, Q) and iv.contains(t), iv
+            assert iv.lo_open or t == iv.lo, iv

@@ -9,7 +9,7 @@ from timegolog import synthesis, timed_automata
 from timegolog.mtl import Interval
 from timegolog.parsing import load_ta, parse_guard_atoms
 from timegolog.plantrans import ConstraintSet, Plan, Rel, encode_plan
-from timegolog.temporal import ClockConstraint, ResourceError, Window
+from timegolog.temporal import ClockConstraint, ResourceError
 from timegolog.timed_automata import (
     EPSILON,
     INF,
@@ -79,16 +79,16 @@ class TestZone:
     def test_firing_window(self):
         z = Zone.universal(("x",)).and_atom("x", ">=", 4).and_atom("x", "<=", 6)
         # x was reset at 2, so at time 3 it reads 1: the zone holds from 6 to 8
-        assert z.firing_window(3, [2]) == Window(6, False, 8, False)
+        assert z.firing_window(3, [2]) == Interval(6, 8)
         assert z.firing_window(9, [2]) is None  # x reads 7
         # a difference of clocks does not move with time
         both = Zone.universal(self.CLOCKS).and_atom("x", "<", 3)
         both = both.reset(["y"]).up().and_atom("y", ">", 1).and_atom("x", "<=", 4)
-        assert both.firing_window(Q(1, 2), [0, Q(1, 2)]) == Window(Q(3, 2), True, 4, False)
+        assert both.firing_window(Q(1, 2), [0, Q(1, 2)]) == Interval(Q(3, 2), 4, True)
         assert both.firing_window(0, [0, 3]) is None  # x - y = 3 here
         # a window open at both ends yields its exact midpoint, never a float
-        assert Window(1, True, 2, True).earliest() == Q(3, 2)
-        assert type(Window(1, True, 3, True).earliest()) is Q
+        assert Interval(1, 2, True, True).earliest() == Q(3, 2)
+        assert type(Interval(1, 3, True, True).earliest()) is Q
 
     def test_operations_preserve_canonical_form(self):
         rng = random.Random(13)
