@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -58,6 +61,7 @@ from timegolog.parsing import load_bat, load_program, parse_mtl
 from timegolog.temporal import canonical_word
 
 from fixtures import (
+    DATA,
     build_camera_bat,
     camera_program,
     camera_spec,
@@ -606,6 +610,81 @@ def camera_game():
     )
     assert result is True
     return problem, graph, controllable
+
+
+LOOPED_CAMERA_PROGRAM = {"par": [
+    {"act": "start(grasp(m2,o1))"},
+    {"star": {"seq": [
+        {"act": "start(bootCamera)"}, {"act": "end(bootCamera)"},
+        {"act": "start(stopCamera)"}, {"act": "end(stopCamera)"},
+    ]}},
+]}
+
+
+@pytest.fixture(scope="module")
+def looped_camera_controller():
+    """The looped camera program's controller for camera_spec(1); its
+    simulation fails the controller conditions (see ROADMAP item 1)."""
+    controllable = lambda a: a.startswith("start(")
+    bat = load_bat(json.loads((DATA / "camera_bat.json").read_text()))
+    result, graph, problem = check_for_controller(
+        bat, load_program(LOOPED_CAMERA_PROGRAM, bat), camera_spec(1), controllable
+    )
+    assert result is True
+    return extract_controller(problem, graph, controllable)
+
+
+def report_digest(report) -> str:
+    return hashlib.sha256(repr(report).encode()).hexdigest()[:16]
+
+
+class TestSimulationReportsPinned:
+    """Whole simulation reports at fixed seeds: the completed count, the
+    violating traces and the condition failure messages, in order (through a
+    digest of the report's repr)."""
+
+    @pytest.mark.parametrize("seed, completed, digest", [
+        (0, 42, "919b1ca0b52cbd06"),
+        (1, 46, "7fae5eee5b204d66"),
+        (7, 49, "3a2444f96fae5880"),
+    ])
+    def test_camera_game(self, camera_game, seed, completed, digest):
+        report = simulate_controller(extract_controller(*camera_game), trials=60, seed=seed)
+        assert (report.completed, report.violations, report.condition_failures) == (completed, (), ())
+        assert report_digest(report) == digest
+
+    @pytest.mark.parametrize("seed, violations, digest", [
+        (0, 30, "187dba2d490b63a3"),
+        (1, 37, "83bf51cc6dc6d382"),
+        (7, 37, "958c55ec97ec0f82"),
+    ])
+    def test_camera_game_against_a_stricter_oracle(self, camera_game, seed, violations, digest):
+        """The oracle checks "grasping before time 2", which some completed
+        plays of the camera controller satisfy: those are reported as
+        violations, in play order."""
+        problem, graph, controllable = camera_game
+        controller = dataclasses.replace(
+            extract_controller(*camera_game),
+            problem=dataclasses.replace(problem, spec=parse_mtl("(finally grasping [0,2))")),
+        )
+        report = simulate_controller(controller, trials=60, seed=seed)
+        assert len(report.violations) == violations and not report.condition_failures
+        assert all(dict(trace)["start(grasp(m2,o1))"] < 2 for trace in report.violations)
+        assert report_digest(report) == digest
+
+    @pytest.mark.parametrize("seed, failures, digest", [
+        (0, 178, "b2800d929fc92034"),
+        (1, 166, "8e2cda043bfa524d"),
+        (7, 162, "9f4e903b427eeec6"),
+    ])
+    def test_looped_camera_controller(self, looped_camera_controller, seed, failures, digest):
+        report = simulate_controller(looped_camera_controller, trials=40, seed=seed)
+        assert (report.completed, report.violations) == (0, ())
+        assert len(report.condition_failures) == failures
+        assert report.condition_failures[0] == (
+            "trial 0: selected ('start(bootCamera)', 6) not enabled at node 18"
+        )
+        assert report_digest(report) == digest
 
 
 class TestRegionDelaysOncePerState:
