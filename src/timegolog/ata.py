@@ -307,12 +307,9 @@ INITIAL = "<init>"
 
 
 def _clock_in(interval: Interval) -> LocFormula:
-    atoms = []
-    if interval.hi is None and interval.lo == 0 and not interval.lo_open:
+    atoms = [LClock(rel, k) for rel, k in interval.bounds()]
+    if not atoms:
         return LTRUE
-    atoms.append(LClock(">" if interval.lo_open else ">=", interval.lo))
-    if interval.hi is not None:
-        atoms.append(LClock("<" if interval.hi_open else "<=", interval.hi))
     return atoms[0] if len(atoms) == 1 else LAnd(tuple(atoms))
 
 

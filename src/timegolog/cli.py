@@ -114,13 +114,14 @@ def cmd_synth(args) -> int:
         return 1
     if args.out or args.dot or args.simulate:
         controller = synthesis.extract_controller(problem, graph, controllable)
-        controller_ta = controller.to_ta()
-        if args.out:
-            with open(args.out, "w") as handle:
-                json.dump(ta_to_json(controller_ta), handle, indent=2, sort_keys=True)
-        if args.dot:
-            with open(args.dot, "w") as handle:
-                handle.write(ta_to_dot(controller_ta))
+        if args.out or args.dot:
+            controller_ta = controller.to_ta()
+            if args.out:
+                with open(args.out, "w") as handle:
+                    json.dump(ta_to_json(controller_ta), handle, indent=2, sort_keys=True)
+            if args.dot:
+                with open(args.dot, "w") as handle:
+                    handle.write(ta_to_dot(controller_ta))
         info["locations"] = len(controller.locations)
         info["edges"] = len(controller.edges)
         info["increment_ties"] = len(controller.tie_warnings)

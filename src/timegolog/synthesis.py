@@ -1000,6 +1000,16 @@ def simulate_controller(
     actions enabled; enabled environment moves selected or strictly
     preempted; empty selection only at final states), and lets a seeded
     adversary pick, biased towards region boundaries.
+
+    Every trial starts from one exact state under one controller, so trials
+    revisit states and repeat plays.  The exact work is shared across
+    trials: each distinct completed trace is turned into a timed word and
+    checked by the oracle once, and a state's increments and successors are
+    computed at most twice.  The controller conditions, their messages and
+    the adversary's draws stay per step and per trial.  Memory is bounded by
+    reuse: a state's successors are kept from its second expansion on, so
+    only states that recur are stored, and a state expanded once leaves
+    only its hash behind.
     """
     import random
 
@@ -1010,16 +1020,30 @@ def simulate_controller(
     violations = []
     failures = []
     completed = 0
+    initial = exact_initial_state(problem)
+    recurring = {}  # state -> (delays, successors), from its second expansion on
+    expanded = set()  # hashes of the states expanded so far
+    verdicts = {}  # completed trace -> does it satisfy the (bad) spec
+
+    def expand(state: DetState) -> tuple:
+        hit = recurring.get(state)
+        if hit is None:
+            delays = increments(problem, state)
+            hit = (delays, dict(det_successors_exact(problem, state, delays)))
+            key = hash(state)
+            if key in expanded:
+                recurring[state] = hit
+            expanded.add(key)
+        return hit
 
     for trial in range(trials):
         node = graph.node(controller.initial)
-        state = exact_initial_state(problem)
+        state = initial
         now = Fraction(0)
         trace = []
         ended = False
         for _ in range(max_steps):
-            delays = increments(problem, state)
-            real_succ = dict(det_successors_exact(problem, state, delays))
+            delays, real_succ = expand(state)
             selected = {
                 (e.action, e.incr_index): e for e in controller.edges_from(node.nid)
             }
@@ -1065,9 +1089,13 @@ def simulate_controller(
             continue
         if is_final_state(problem, state):
             completed += 1
-            word = trace_to_word(problem.bat, tuple(trace), problem.ata.atom_universe)
-            if mtl.satisfies(word, 0, problem.spec):
-                violations.append(tuple(trace))
+            trace = tuple(trace)
+            bad = verdicts.get(trace)
+            if bad is None:
+                word = trace_to_word(problem.bat, trace, problem.ata.atom_universe)
+                bad = verdicts[trace] = mtl.satisfies(word, 0, problem.spec)
+            if bad:
+                violations.append(trace)
     return SimulationReport(
         trials=trials,
         completed=completed,

@@ -324,6 +324,20 @@ class TestSynth:
         assert any(const == Fraction(1, 2) for sw in ta.switches for _, _, const in sw.guard.atoms)
         assert "c_boot = 1/2" in dot.read_text()
 
+    def test_controller_automaton_built_only_when_written(self, camera_files, capsys,
+                                                           monkeypatch):
+        def forbidden(self):
+            raise AssertionError("controller automaton built but not written")
+
+        monkeypatch.setattr(synthesis.Controller, "to_ta", forbidden)
+        code = main([
+            "synth", "--bat", camera_files["bat"], "--program", camera_files["program"],
+            "--spec", CAMERA_SPEC_TEXT, "--controllable", "start(*",
+            "--simulate", "5", "--json",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["edges"] > 0
+
     def test_impossible_spec_exits_one(self, camera_files, tmp_path, capsys):
         prog = tmp_path / "prog.json"
         prog.write_text(json.dumps({"seq": [

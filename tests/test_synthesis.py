@@ -662,11 +662,8 @@ class TestSimulationReportsPinned:
         """The oracle checks "grasping before time 2", which some completed
         plays of the camera controller satisfy: those are reported as
         violations, in play order."""
-        problem, graph, controllable = camera_game
-        controller = dataclasses.replace(
-            extract_controller(*camera_game),
-            problem=dataclasses.replace(problem, spec=parse_mtl("(finally grasping [0,2))")),
-        )
+        stricter = dataclasses.replace(camera_game[0], spec=parse_mtl("(finally grasping [0,2))"))
+        controller = dataclasses.replace(extract_controller(*camera_game), problem=stricter)
         report = simulate_controller(controller, trials=60, seed=seed)
         assert len(report.violations) == violations and not report.condition_failures
         assert all(dict(trace)["start(grasp(m2,o1))"] < 2 for trace in report.violations)
@@ -719,6 +716,27 @@ class TestRegionDelaysOncePerState:
         report = simulate_controller(controller, trials=5, seed=1)
         assert report.ok
         assert calls["delays"] == calls["successors"] > 0
+
+    def test_simulation_shares_exact_work_across_trials(self, camera_game, monkeypatch):
+        """Over 500 trials each exact state is expanded at most twice and
+        each distinct completed trace is checked by the oracle once."""
+        states, traces = [], []
+        successors, to_word = synthesis.det_successors_exact, synthesis.trace_to_word
+
+        def counted_successors(problem, state, delays=None):
+            states.append(state)
+            return successors(problem, state, delays)
+
+        def counted_to_word(bat, trace, atom_filter=None):
+            traces.append(trace)
+            return to_word(bat, trace, atom_filter)
+
+        monkeypatch.setattr(synthesis, "det_successors_exact", counted_successors)
+        monkeypatch.setattr(synthesis, "trace_to_word", counted_to_word)
+        report = simulate_controller(extract_controller(*camera_game), trials=500, seed=0)
+        assert report.ok and report.completed > 300
+        assert max(Counter(states).values()) <= 2
+        assert len(traces) == len(set(traces)) > 1
 
     def test_edges_from_matches_a_scan(self, camera_game):
         controller = extract_controller(*camera_game)
