@@ -2,13 +2,16 @@
 
 Locations carry positive boolean transition formulas; successor
 configurations are the minimal models of those formulas, read off a
-disjunctive normal form.  The module also builds the automaton tracking a
-metric temporal logic formula, the workhorse of verification and synthesis.
+disjunctive normal form.  Each automaton keeps that normal form per
+(location, symbol) in a table it fills on first use, so a symbol step only
+checks the clock atoms against the current values.  The module also builds
+the automaton tracking a metric temporal logic formula, the workhorse of
+verification and synthesis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Hashable, Iterable, Optional
@@ -105,6 +108,24 @@ def _push_reset(phi: LocFormula) -> LocFormula:
 Clause = frozenset
 
 
+def minimal(sets: Iterable[frozenset]) -> list[frozenset]:
+    """The distinct sets with no strict subset among them, in first-seen
+    order (an antichain).  A set is tested only against the smaller sets
+    kept so far: a dropped set's strict subsets include a kept one."""
+    distinct = list(dict.fromkeys(sets))
+    kept = []
+    for s in sorted(distinct, key=len):
+        for k in kept:
+            if k < s:
+                break
+        else:
+            kept.append(s)
+    if len(kept) == len(distinct):
+        return distinct
+    kept = set(kept)
+    return [s for s in distinct if s in kept]
+
+
 def dnf(phi: LocFormula) -> tuple[Clause, ...]:
     """Clauses of the disjunctive normal form, each a set of atoms.
 
@@ -137,40 +158,34 @@ def dnf(phi: LocFormula) -> tuple[Clause, ...]:
             return clauses
         raise TypeError(f"not a location formula: {f!r}")
 
-    clauses = walk(phi)
-    distinct = []
-    for c in clauses:
-        if c not in distinct:
-            distinct.append(c)
-    return tuple(c for c in distinct if not any(o < c for o in distinct))
+    return tuple(minimal(walk(phi)))
 
 
 Configuration = frozenset  # of (location, clock value) states
+
+
+def _split(clause: Clause) -> tuple:
+    """A DNF clause as (clock bounds, kept locations, reset states)."""
+    return (
+        tuple((a[1], a[2]) for a in clause if a[0] == "clock"),
+        tuple(a[1] for a in clause if a[0] == "loc"),
+        frozenset((a[1], 0) for a in clause if a[0] == "reset"),
+    )
+
+
+def _models(clauses: Iterable[tuple], v, unit: int) -> list[Configuration]:
+    return minimal(
+        frozenset([(loc, v) for loc in kept]) | resets
+        for bounds, kept, resets in clauses
+        if all(compare(v, rel, const * unit) for rel, const in bounds)
+    )
 
 
 def minimal_models(phi: LocFormula, v, unit: int = 1) -> frozenset[Configuration]:
     """Minimal configurations satisfying phi when the clock reads v/unit: v
     is compared against the constants times the unit, so integer clock
     values over a unit need no Fractions."""
-    models = set()
-    for clause in dnf(phi):
-        ok = True
-        states = set()
-        for atom in clause:
-            if atom[0] == "clock":
-                _, rel, const = atom
-                if not compare(v, rel, const * unit):
-                    ok = False
-                    break
-            elif atom[0] == "loc":
-                states.add((atom[1], v))
-            else:
-                states.add((atom[1], 0))
-        if ok:
-            models.add(frozenset(states))
-    return frozenset(
-        m for m in models if not any(other < m for other in models)
-    )
+    return frozenset(_models(map(_split, dnf(phi)), v, unit))
 
 
 # --- the automaton --------------------------------------------------------------
@@ -182,8 +197,10 @@ class Ata:
 
     `eta` maps (location, symbol set) to a location formula and is usually a
     plain function: the table over the powerset alphabet is never
-    materialized.  `atom_universe` lists the proposition names the transition
-    formulas inspect; `max_constant` bounds the clock constants.
+    materialized in full.  `table` holds the split DNF clauses of `eta` for
+    the (location, symbol) pairs read so far.  `atom_universe` lists the
+    proposition names the transition formulas inspect; `max_constant` bounds
+    the clock constants.
     """
 
     locations: frozenset
@@ -193,6 +210,13 @@ class Ata:
     atom_universe: frozenset[str]
     max_constant: int
     location_names: dict
+    table: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def clauses(self, loc, symbol: frozenset) -> tuple:
+        hit = self.table.get((loc, symbol))
+        if hit is None:
+            hit = self.table[loc, symbol] = tuple(map(_split, dnf(self.eta(loc, symbol))))
+        return hit
 
     def initial_configuration(self) -> Configuration:
         return frozenset({(self.initial, 0)})
@@ -254,20 +278,13 @@ def symbol_step(
     configurations subsumed by a strict subset are dropped, which is sound
     because acceptance is downward closed.
     """
-    def model_key(m):
-        return sorted((str(loc), v) for loc, v in m)
-
     per_state = []
-    for loc, v in sorted(g, key=lambda s: (str(s[0]), s[1])):
-        models = minimal_models(ata.eta(loc, symbol), v, unit)
+    for loc, v in g:
+        models = _models(ata.clauses(loc, symbol), v, unit)
         if not models:
             return frozenset()
-        per_state.append(sorted(models, key=model_key))
-    results = set()
-    for choice in product(*per_state):
-        merged = frozenset().union(*choice) if choice else frozenset()
-        results.add(merged)
-    return frozenset(r for r in results if not any(other < r for other in results))
+        per_state.append(models)
+    return frozenset(minimal(frozenset().union(*choice) for choice in product(*per_state)))
 
 
 def _clamp(g: Configuration, k: int) -> Configuration:
@@ -293,9 +310,7 @@ def accepts(ata: Ata, rho: mtl.TimedWord) -> bool:
         frontier = set()
         for g in advanced:
             frontier |= symbol_step(g, symbols & ata.atom_universe, ata)
-        frontier = {
-            f for f in frontier if not any(other < f for other in frontier)
-        }
+        frontier = set(minimal(frontier))
         if not frontier:
             return False
     return any(ata.is_accepting(g) for g in frontier)

@@ -226,7 +226,9 @@ class Bat:
     """Basic action theory over finite sorts.
 
     The special sorts ``action`` and ``clock`` are always available and list
-    the declared ground actions and clocks.
+    the declared ground actions and clocks.  `progress` memoizes the fluents
+    and functional values it computes per theory, so the axioms must not be
+    edited once the theory has been progressed.
     """
 
     sorts: dict
@@ -266,6 +268,7 @@ class Bat:
                 )
         if self.initial is not None:
             self.validate_initial(self.initial)
+        self._progressed = {}  # (fluents, funcs, action) -> (fluents, funcs)
 
     def sort_members(self, sort: str) -> tuple:
         try:
@@ -377,11 +380,23 @@ def holds(bat: Bat, state: WorldState, phi: Formula, env: Optional[Mapping[str, 
 def progress(bat: Bat, state: WorldState, action: str) -> WorldState:
     """One-step forward application of the successor state axioms.
 
-    Every ground fluent instance is re-evaluated in `state` with the action
-    bound; clocks named by the action's reset clause are zeroed.
+    Every ground fluent instance is evaluated in `state` with the action
+    bound, once per theory, fluent state and action: the axioms read no
+    clock.  Clocks named by the action's reset clause are zeroed.
     """
     if action not in bat.actions:
         raise InputError(f"undeclared action {action!r}")
+    key = (state.fluents, state.funcs, action)
+    hit = bat._progressed.get(key)
+    if hit is None:
+        hit = bat._progressed[key] = _progress_fluents(bat, state, action)
+    resets = bat.actions[action].resets
+    return WorldState(*hit, tuple(sorted(
+        (c, Fraction(0) if c in resets else as_fraction(v)) for c, v in state.clocks
+    )))
+
+
+def _progress_fluents(bat: Bat, state: WorldState, action: str) -> tuple:
     new_fluents = set()
     for name, args in bat.ground_rel_atoms():
         ssa = bat.ssa_rel[name]
@@ -405,11 +420,7 @@ def progress(bat: Bat, state: WorldState, action: str) -> WorldState:
                 f"{len(values)} values: {values}"
             )
         new_funcs[atom] = values[0]
-    resets = bat.actions[action].resets
-    new_clocks = {
-        c: (Fraction(0) if c in resets else v) for c, v in state.clocks
-    }
-    return make_state(new_fluents, new_funcs, new_clocks)
+    return frozenset(new_fluents), tuple(sorted(new_funcs.items()))
 
 
 Trace = tuple  # of (action name, absolute Fraction time) pairs

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .ata import Ata, ata_from_mtl, symbol_step, time_step
+from .ata import Ata, ata_from_mtl, minimal, symbol_step, time_step
 from . import golog, mtl
 from .golog import Bat, Program, WorldState, normalize
 from .mtl import Hashed, MtlFormula, TimedWord, hashed_dataclass
@@ -65,7 +65,6 @@ class Problem:
     scale: int = 1  # the inputs' clock constants were multiplied by it
 
     def __post_init__(self):
-        self._progress_cache = {}
         self._steps_cache = {}
         self._final_cache = {}
         self._symbol_cache = {}
@@ -77,13 +76,9 @@ class Problem:
 
     def progress_fluents(self, state: WorldState, action: str) -> WorldState:
         """The fluents and functional values after the action, without
-        clocks; progression is time-invariant, so cached per fluent state."""
-        key = (state.fluent_key(), action)
-        hit = self._progress_cache.get(key)
-        if hit is None:
-            after = golog.progress(self.bat, state, action)
-            hit = self._progress_cache[key] = WorldState(after.fluents, after.funcs, ())
-        return hit
+        clocks; `golog.progress` computes them once per fluent state and
+        action for the theory, and `trace_to_word` reuses them."""
+        return golog.progress(self.bat, WorldState(state.fluents, state.funcs, ()), action)
 
     def program_steps(self, state: WorldState, prog: Program) -> frozenset:
         clocks = state.clocks if self._clocked_tests else None
@@ -361,7 +356,7 @@ def det_successors_exact(
                 )
             pruned = frozenset(
                 Member(rest, g) for rest, configs in configs_of.items()
-                for g in configs if not any(o < g for o in configs)
+                for g in minimal(configs)
             )
             if not pruned:
                 continue

@@ -2,9 +2,10 @@
 separate from the zone engine and the synthesis pipeline."""
 
 from fractions import Fraction
+from itertools import product
 
 from timegolog import golog
-from timegolog.ata import symbol_step
+from timegolog.ata import minimal_models, symbol_step
 from timegolog.temporal import (
     canonical_valuation,
     eval_constraint,
@@ -185,3 +186,12 @@ def eager_successors(problem, state):
             if kept:
                 out.append(((action, idx), (after.fluents, after.funcs, after.clocks, kept)))
     return out
+
+
+def reference_symbol_step(g, symbol, ata, unit=1):
+    """`ata.symbol_step` from each state's transition formula: the minimal
+    models of `eta(loc, symbol)` per state, one chosen per state, unioned,
+    and the unions with a strict subset among them dropped."""
+    per_state = [minimal_models(ata.eta(loc, symbol), v, unit) for loc, v in g]
+    unions = {frozenset().union(*choice) for choice in product(*per_state)}
+    return frozenset(u for u in unions if not any(o < u for o in unions))

@@ -17,6 +17,7 @@ from timegolog.ata import (
     dnf,
     eta_table,
     make_ata,
+    minimal,
     minimal_models,
     symbol_step,
     time_step,
@@ -25,6 +26,7 @@ from timegolog.ata import (
 from timegolog.mtl import And, Atom, DualUntil, Interval, Not, Or, TRUE, Until, to_pnf, word
 from timegolog.parsing import parse_mtl
 
+from oracles import reference_symbol_step
 from test_mtl import formulas, words
 
 CAM, GRASP = Atom("camOn"), Atom("grasping")
@@ -210,6 +212,46 @@ def test_symbol_step_emits_only_minimal_configurations(phi, symbols, data):
     out = symbol_step(g, frozenset(symbols) & a.atom_universe, a)
     for m in out:
         assert not any(other < m for other in out)
+
+
+@given(st.lists(st.frozensets(st.integers(0, 4), max_size=4), max_size=12))
+def test_minimal_keeps_the_minimal_sets_in_first_seen_order(sets):
+    expected = [
+        s for i, s in enumerate(sets)
+        if s not in sets[:i] and not any(o < s for o in sets)
+    ]
+    assert minimal(sets) == expected
+
+
+@given(formulas(), st.sampled_from([1, 2, 6]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_symbol_step_matches_the_per_formula_reference(phi, unit, data):
+    # several steps on one automaton, so later steps read its filled table
+    a = ata_from_mtl(mtl.to_pnf(phi))
+    locs = sorted(a.locations, key=str)
+    for _ in range(4):
+        symbol = frozenset(data.draw(st.sets(st.sampled_from(["p", "q", "r"])))) & a.atom_universe
+        g = frozenset(
+            (loc, data.draw(st.integers(min_value=0, max_value=4 * unit)))
+            for loc in data.draw(st.sets(st.sampled_from(locs), max_size=3))
+        )
+        assert symbol_step(g, symbol, a, unit) == reference_symbol_step(g, symbol, a, unit)
+
+
+def test_automata_with_shared_locations_keep_their_own_tables():
+    """Both automata have the initial location and the until member, over
+    the same atoms; their initial transitions differ, and each reads its
+    own."""
+    shared = Until(TRUE, GRASP, Interval(0, 1))
+    first = ata_from_mtl(shared)
+    second = ata_from_mtl(to_pnf(And((shared, Not(GRASP)))))
+    assert shared in first.locations and shared in second.locations
+    assert first.atom_universe == second.atom_universe
+    start, symbol = frozenset({(INITIAL, 0)}), frozenset({"grasping"})
+    for _ in range(2):
+        for a, expected in ((first, {frozenset({(shared, 0)})}), (second, set())):
+            assert symbol_step(start, symbol, a) == frozenset(expected)
+            assert reference_symbol_step(start, symbol, a) == frozenset(expected)
 
 
 @given(words(), formulas(), st.data())

@@ -560,6 +560,29 @@ def test_transform_dot_is_the_same_under_any_hash_seed(transform_files, tmp_path
     assert drawings[0] == drawings[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["synth", "--controllable", "start(*", "--simulate", "50"],
+], ids=["verify", "synth"])
+def test_search_payloads_are_the_same_under_any_hash_seed(argv):
+    # the automaton steps and the search visit states in set order, which
+    # follows the string hash seed; the payloads must not
+    demo = Path(__file__).resolve().parent.parent / "demos" / "data"
+    inputs = ["--bat", str(demo / "camera_bat.json"), "--program",
+              str(demo / "camera_program.json"), "--spec", str(demo / "camera_spec.sexpr")]
+    payloads = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "timegolog.cli", *argv[:1], *inputs, *argv[1:], "--json"],
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode in (0, 1), done.stderr[-2000:]
+        payloads.append(done.stdout)
+    assert json.loads(payloads[0])["verdict"] in ("unsafe", "controller")
+    assert payloads[0] == payloads[1]
+
+
 def test_deep_nesting_is_a_usage_error(camera_files, tmp_path, capsys):
     # past the recursion limit the loaders fail; that is an input error
     # (exit 2), not a traceback whose exit 1 reads as a negative verdict

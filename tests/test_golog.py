@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -395,8 +396,9 @@ class TestModelErrors:
             ssa_fun={"f": SsaFun((), "y", STRUE)},  # every value qualifies
             initial=make_state((), {"f": "v1"}, {}),
         )
-        with pytest.raises(ModelError):
-            progress(bad, bad.initial, "act")
+        for _ in range(2):  # the error is raised again, never memoized
+            with pytest.raises(ModelError):
+                progress(bad, bad.initial, "act")
 
     def test_incomplete_initial_rejected(self):
         from timegolog.golog import ActionDecl, Bat, FunFluent, SsaFun, make_state
@@ -412,6 +414,54 @@ class TestModelErrors:
                 ssa_fun={"f": SsaFun((), "y", SEq(Var("y"), Const("v1")))},
                 initial=make_state((), {}, {}),
             )
+
+
+class TestProgressionMemo:
+    """`progress` computes the fluents once per theory, fluent state and
+    action; clocks and resets come from each call."""
+
+    def test_memo_matches_a_fresh_theory_along_random_traces(self, bat):
+        rng = random.Random(0)
+        for _ in range(20):
+            state = bat.initial
+            for _ in range(8):
+                possible = sorted(
+                    a for a, decl in bat.actions.items() if holds(bat, state, decl.poss)
+                )
+                if not possible:
+                    break
+                action = rng.choice(possible)
+                advanced = state.advanced(Q(rng.randrange(5), rng.choice((1, 2, 3))))
+                state = progress(bat, advanced, action)
+                assert state == progress(build_camera_bat(), advanced, action)
+
+    def test_equal_fluents_keep_their_own_clocks(self, bat):
+        action = str(start(Const("bootCamera")))
+        assert "c_boot" in bat.actions[action].resets
+        early = bat.initial.advanced(Q(1, 2))
+        late = bat.initial.advanced(Q(3))
+        after_early, after_late = progress(bat, early, action), progress(bat, late, action)
+        assert (after_early.fluents, after_early.funcs) == (after_late.fluents, after_late.funcs)
+        assert after_early.clock_map == {
+            c: Q(0) if c == "c_boot" else Q(1, 2) for c in bat.clocks
+        }
+        assert after_late.clock_map == {c: Q(0) if c == "c_boot" else Q(3) for c in bat.clocks}
+
+    def test_theories_over_the_same_fluents_do_not_share_entries(self):
+        from timegolog.golog import ActionDecl, Bat, SsaRel, make_state
+
+        def theory(rhs):
+            return Bat(
+                sorts={}, clocks=("c",), rel_fluents={"p": ()}, fun_fluents={},
+                actions={"act": ActionDecl(resets=frozenset({"c"}))},
+                ssa_rel={"p": SsaRel((), rhs)}, ssa_fun={},
+                initial=make_state((), {}, {"c": 0}),
+            )
+
+        keep, toggle = theory(SAtom("p", ())), theory(SNot(SAtom("p", ())))
+        for _ in range(2):
+            assert progress(keep, keep.initial, "act").fluents == frozenset()
+            assert progress(toggle, toggle.initial, "act").fluents == {"p"}
 
 
 class TestJsonLoader:
