@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -6,9 +7,9 @@ from fractions import Fraction as Q
 import pytest
 
 from timegolog import synthesis, timed_automata
-from timegolog.mtl import Interval
+from timegolog.mtl import TRUE, Atom, Interval
 from timegolog.parsing import load_ta, parse_guard_atoms
-from timegolog.plantrans import ConstraintSet, Plan, Rel, encode_plan
+from timegolog.plantrans import Chain, ConstraintSet, Plan, Rel, build_encoding, encode_plan
 from timegolog.temporal import ClockConstraint, ResourceError
 from timegolog.timed_automata import (
     EPSILON,
@@ -18,6 +19,7 @@ from timegolog.timed_automata import (
     Switch,
     Zone,
     live_clocks,
+    loc_str,
     make_ta,
     parallel_compose,
     run_to_timed_word,
@@ -585,6 +587,50 @@ class TestLiveClocks:
         assert zone_reach(search, budget=50) is None
         with pytest.raises(ResourceError):
             zone_reach(search, budget=49)
+
+
+def long_plan_product(steps: int = 100):
+    """A long plan of start/end step pairs composed with the warm-up
+    platform: one relative window near each end of the plan, step 1 starting
+    with the platform idle and leaving idle within its last two time units,
+    and the middle step run with the platform ready."""
+    plan = Plan(tuple(a for i in range(1, steps + 1) for a in (f"start(step{i})", f"end(step{i})")))
+    early, late = steps // 50, steps - steps // 50
+    cs = ConstraintSet(
+        rel=(Rel(2 * early - 1, 2 * early, Interval(1, 3)), Rel(2 * late - 1, 2 * late, Interval(2, 3))),
+        chain=(
+            Chain(((Atom("idle"), Interval(0, None)), (TRUE, Interval(0, 2))),
+                  "start:step1", "end:step1"),
+            Chain(((Atom("ready"), Interval(0, None)),),
+                  f"start:step{steps // 2}", f"end:step{steps // 2}"),
+        ),
+    )
+    return build_encoding(plan, warmup_platform(), cs)
+
+
+def test_long_plan_search_is_pinned():
+    # node count by the budget boundary, and the exact run: the search's
+    # order and extraction decide both
+    ta = long_plan_product()
+    assert len(ta.locations) == 1002 and len(ta.switches) == 3192
+    run = zone_reach(ta, budget=1093)
+    with pytest.raises(ResourceError):
+        zone_reach(ta, budget=1092)
+    assert len(run.steps) == 202
+    assert [(k, sw.label, delay) for k, (sw, delay) in enumerate(run.steps)
+            if delay or not sw.label.startswith(("start(step", "end(step"))] == [
+        (1, "warmup", 0), (4, "end(step2)", 1), (99, "engage", 0), (197, "end(step98)", 2),
+    ]
+    text = "\n".join(f"{loc_str(sw.src)} {sw.label} {sorted(sw.resets)} {loc_str(sw.dst)} {delay}"
+                     for sw, delay in run.steps)
+    assert text.startswith(
+        "l0|idle start(step1) ['x_chain0'] l1|idle|stage|x_chain0|1 0\n"
+        "l1|idle|stage|x_chain0|1 warmup ['x_chain0', 'y'] l1|warm|stage|x_chain0|2 0\n"
+        "l1|warm|stage|x_chain0|2 end(step1) [] l2|warm 0\n"
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "28356184ff81a722092ffafc988679c21be3eea2dd711b30653d805b720d3e20"
+    )
 
 
 def reset_heavy_ta(rng: random.Random):
