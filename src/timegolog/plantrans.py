@@ -11,7 +11,7 @@ matched plan actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from typing import Optional
@@ -38,10 +38,17 @@ class PlanConstraintError(ValueError):
 @dataclass(frozen=True)
 class Plan:
     actions: tuple  # ground action names, 1-based in constraints
+    _matching: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(isinstance(a, str) and a for a in self.actions):
             raise ValueError("plan actions must be non-empty names")
+
+    def matching(self, pattern: str) -> frozenset:
+        """The actions `pattern` matches (`match_action`), computed once."""
+        if pattern not in self._matching:
+            self._matching[pattern] = frozenset(a for a in set(self.actions) if match_action(pattern, a))
+        return self._matching[pattern]
 
     def __len__(self):
         return len(self.actions)
@@ -122,13 +129,14 @@ def get_activations(chain: Chain, plan: Plan) -> frozenset:
     to the first closing match)."""
     out = set()
     n = len(plan)
+    a1, a2 = plan.matching(chain.alpha1), plan.matching(chain.alpha2)
     for s in range(1, n + 1):
-        if not match_action(chain.alpha1, plan.action(s)):
+        if plan.action(s) not in a1:
             continue
         for e in range(s + 1, n + 1):
-            if match_action(chain.alpha1, plan.action(e)):
+            if plan.action(e) in a1:
                 break
-            if match_action(chain.alpha2, plan.action(e)):
+            if plan.action(e) in a2:
                 out.add(Activation(s, e))
                 break
     return frozenset(out)
@@ -376,8 +384,7 @@ def constraint_formulas(plan: Plan, constraints: ConstraintSet) -> list[MtlFormu
 
 
 def _matcher_formula(plan: Plan, pattern: str) -> MtlFormula:
-    names = sorted({a for a in plan.actions if match_action(pattern, a)})
-    return mtl.Or(tuple(Atom(a) for a in names))
+    return mtl.Or(tuple(Atom(a) for a in sorted(plan.matching(pattern))))
 
 
 def chain_formula(plan: Plan, chain: Chain) -> MtlFormula:
@@ -476,11 +483,8 @@ def _chain_insertions(entries, plan, chain, platform_names):
     interval constraints: windows are propagated forward through a search
     over piece assignments, and concrete times are fixed by a backward pass.
     """
-    a1 = _matcher_formula(plan, chain.alpha1)
-    a2 = _matcher_formula(plan, chain.alpha2)
-
-    def matches(formula, symbols):
-        return mtl.satisfies(TimedWord(((symbols, Fraction(0)),)), 0, formula)
+    # an entry satisfies `_matcher_formula` iff it holds a matched name
+    a1, a2 = plan.matching(chain.alpha1), plan.matching(chain.alpha2)
 
     def loc_of(symbols):
         for s in symbols:
@@ -492,13 +496,13 @@ def _chain_insertions(entries, plan, chain, platform_names):
     intervals = [iv for _, iv in chain.stages]
     insertions = []
     for p in range(1, len(entries)):
-        if not matches(a1, entries[p][0]):
+        if entries[p][0].isdisjoint(a1):
             continue
         q = None
         for r in range(p + 1, len(entries)):
-            if matches(a1, entries[r][0]):
+            if not entries[r][0].isdisjoint(a1):
                 break
-            if matches(a2, entries[r][0]):
+            if not entries[r][0].isdisjoint(a2):
                 q = r
                 break
         if q is None:

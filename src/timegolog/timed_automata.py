@@ -9,12 +9,13 @@ canonical form.  The reachability search stores delay-closed zones with
 every clock that is dead at the zone's location freed: a static liveness
 pass (`live_clocks`) finds the clocks a location reads again before
 resetting them, so zones that differ only in the others are stored and
-expanded once; each successor is computed on one copy of its parent's
-matrix.  The search returns a concrete run: a switch sequence with exact
-delays chosen inside the feasible zone chain on the automaton itself,
-replayed before it is returned.  Extraction and replay hold a valuation as
-the current time and each clock's last reset time, so a step touches only
-the clocks it resets.
+expanded once.  Zones are interned, and a successor is computed once per
+distinct zone and switch effect, then looked up; the budget counts search
+nodes, not zones.  The search returns a concrete run: a switch sequence
+with exact delays chosen inside the feasible zone chain on the automaton
+itself, replayed before it is returned.  Extraction and replay hold a
+valuation as the current time and each clock's last reset time, so a step
+touches only the clocks it resets.
 
 A matrix is a flat row-major list of Python integers with bounds packed
 into them: a bound "difference <= v" is 2v+1, "difference < v" is 2v, and
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
+from functools import reduce
+from operator import le, or_
 from typing import Hashable, Iterable, NamedTuple, Optional
 
 from .temporal import (
@@ -344,13 +346,19 @@ class TimedAutomaton:
 
     def scaled(self, factor) -> "TimedAutomaton":
         """Every constant multiplied by a positive rational factor; the
-        automaton itself at factor 1."""
+        automaton itself at factor 1.  Each constraint object is scaled once,
+        so constraints shared here are shared in the result."""
         if factor == 1:
             return self
+        done: dict = {}  # id of a constraint -> its scaled copy
+
+        def scale(g: ClockConstraint) -> ClockConstraint:
+            return done.get(id(g)) or done.setdefault(id(g), g.scaled(factor))
+
         return TimedAutomaton(
             self.locations, self.initial, self.finals, self.clocks,
-            {l: g.scaled(factor) for l, g in self.invariants.items()},
-            tuple(sw._replace(guard=sw.guard.scaled(factor)) for sw in self.switches),
+            {l: scale(g) for l, g in self.invariants.items()},
+            tuple(Switch(src, label, scale(g), r, dst) for src, label, g, r, dst in self.switches),
         )
 
     def with_epsilon_loops(self) -> "TimedAutomaton":
@@ -457,9 +465,40 @@ def run_to_timed_word(run: Run) -> tuple:
     return tuple(out)
 
 
-def live_clocks(ta: TimedAutomaton) -> list:
+def _tables(ta: TimedAutomaton) -> tuple:
+    """One walk over the automaton for the static passes: the largest
+    constant, each location's invariant, and each switch as (source index,
+    target index, guard, resets).  A constraint object is packed once into
+    (bounds, clock mask), equal bounds into one object, a reset set into
+    (clock indices, clock mask); bit i of a mask stands for ta.clocks[i]."""
+    clock_index = {c: i + 1 for i, c in enumerate(ta.clocks)}
+    index = {l: i for i, l in enumerate(ta.locations)}
+    packed: dict = {}  # id of a constraint or reset set -> its pair
+    shared: dict = {}  # packed bounds -> the one object holding them
+
+    def pack(g) -> tuple:
+        if isinstance(g, frozenset):
+            out = tuple(clock_index[c] for c in g)
+            mask = sum(1 << y >> 1 for y in out)
+        else:
+            out = shared.setdefault(b := _constraint_bounds(g, clock_index), b)
+            mask = reduce(or_, ((1 << i | 1 << j) >> 1 for i, j, _ in out), 0)  # x_0: no bit
+        packed[id(g)] = p = (out, mask)
+        return p
+
+    get = packed.get
+    invariants = [get(id(g)) or pack(g) for g in map(ta.invariant, ta.locations)]
+    switches = [(index[src], index[dst], get(id(g)) or pack(g), get(id(r)) or pack(r))
+                for src, _, g, r, dst in ta.switches]  # nested tuples: hash once
+    k = max((b >> 1 if j == 0 else -(b >> 1) for bounds in shared for _, j, b in bounds),
+            default=0)
+    return k, invariants, switches
+
+
+def live_clocks(ta: TimedAutomaton, tables: Optional[tuple] = None) -> list:
     """Bitmask of the clocks live at each location, in the order of
-    ta.locations; bit i stands for ta.clocks[i].
+    ta.locations; bit i stands for ta.clocks[i].  `tables` is `_tables(ta)`
+    when the caller has it.
 
     A clock is live at l when l's invariant reads it, when a guard of a
     switch leaving l reads it, or when it is live at the target of a switch
@@ -467,26 +506,14 @@ def live_clocks(ta: TimedAutomaton) -> list:
     fixpoint runs on bitmasks: a location is revisited only when its mask
     grows, so the pass is linear in switches x clocks.  A dead clock's value
     is never read before it is reset, so freeing it loses no run."""
-    index = {l: i for i, l in enumerate(ta.locations)}
-    bit = {c: 1 << i for i, c in enumerate(ta.clocks)}
+    _, invariants, switches = tables or _tables(ta)
     everything = (1 << len(ta.clocks)) - 1
-    masks = {}  # clock set -> bitmask, once per distinct set
-
-    def mask(clocks) -> int:
-        m = masks.get(clocks)
-        if m is None:
-            m = masks[clocks] = sum(bit[c] for c in clocks)
-        return m
-
-    live = [0] * len(index)
-    for l, inv in ta.invariants.items():
-        live[index[l]] = mask(inv.clocks())
+    live = [mask for _, mask in invariants]
     into = [[] for _ in live]  # target -> [(source, mask of the clocks kept)]
-    for sw in ta.switches:
-        src = index[sw.src]
-        live[src] |= mask(sw.guard.clocks())
-        if sw.resets or sw.src != sw.dst:  # a plain self-loop adds nothing
-            into[index[sw.dst]].append((src, everything ^ mask(sw.resets)))
+    for src, dst, (_, guard_mask), (_, reset_mask) in switches:
+        live[src] |= guard_mask
+        if reset_mask or src != dst:  # a plain self-loop adds nothing
+            into[dst].append((src, everything ^ reset_mask))
     stack = list(range(len(live)))
     while stack:
         dst = stack.pop()
@@ -502,99 +529,98 @@ def live_clocks(ta: TimedAutomaton) -> list:
 def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
     """Breadth-first zone exploration; returns one accepting run with
     concrete delays, replayed on the automaton, or None when no final
-    location is reachable.
+    location is reachable.  The budget bounds the (location, zone) nodes.
 
     Stored zones are delay-closed: a node holds every valuation reachable
     by letting time pass in its location, and a successor under switch
     (g, r, dst) is free_D(up(reset_r(Z ∧ g) ∧ inv_dst) ∧ inv_dst),
     extrapolated, where D holds the clocks dead at dst (`live_clocks`).
-    Zones that differ only in dead clocks are thereby one zone.  Guards and
-    invariants are packed into matrix bounds once, and a successor is
-    computed on one copy of its parent's matrix.  A self-loop without
-    guard or resets maps a zone into itself, so it is never taken.  The
-    witness is extracted and replayed on the automaton itself, with no
-    clock freed."""
+    Zones that differ only in dead clocks are thereby one zone.  Zones are
+    interned by canonical matrix and switch effects (g, r, inv_dst, D) are
+    numbered, so each (zone, effect) successor is computed once; a stored
+    zone equal to a new one is found by id, before any inclusion test.  A
+    self-loop without guard or resets is never taken.  The witness is
+    extracted and replayed on the automaton itself, with no clock freed."""
     from collections import deque
 
-    k = ta.max_constant()
     n = len(ta.clocks) + 1
-    clock_index = {c: i + 1 for i, c in enumerate(ta.clocks)}
-    packed: dict = {}  # id of a guard or invariant -> its packed bounds
-
-    def bounds(g: ClockConstraint) -> tuple:
-        if id(g) not in packed:
-            packed[id(g)] = _constraint_bounds(g, clock_index)
-        return packed[id(g)]
-
-    # locations by their index in ta.locations: product locations are
-    # nested tuples, whose hash is recomputed on every lookup
-    index = {l: i for i, l in enumerate(ta.locations)}
-    invariant = [bounds(ta.invariant(l)) for l in ta.locations]
+    k, invariants, switches = tables = _tables(ta)
+    invariant = [bounds for bounds, _ in invariants]
     final = [l in ta.finals for l in ta.locations]
-    live = live_clocks(ta)
+    live = live_clocks(ta, tables)
     freed = {mask: tuple(i + 1 for i in range(n - 1) if not mask >> i & 1) for mask in set(live)}
-    dead = [freed[mask] for mask in live]
-    switches_from = [[] for _ in ta.locations]  # in switch index order
-    for idx, sw in enumerate(ta.switches):
-        if sw.src == sw.dst and not sw.guard.atoms and not sw.resets:
+    effects: dict = {}  # (guard, resets, target invariant and live clocks) -> effect
+    switches_from = [[] for _ in ta.locations]  # (switch index, dst, effect), in switch order
+    for idx, (src, dst, (guard, _), (resets, reset_mask)) in enumerate(switches):
+        if src == dst and not guard and not resets:
             continue
-        resets = tuple(clock_index[c] for c in sw.resets)
-        switches_from[index[sw.src]].append((idx, bounds(sw.guard), resets, index[sw.dst]))
+        key = (id(guard), reset_mask, id(invariant[dst]), live[dst])
+        if key not in effects:
+            effects[key] = (len(effects), guard, resets, invariant[dst], freed[live[dst]])
+        switches_from[src].append((idx, dst, effects[key]))
 
-    start = index[ta.initial]
-    inv0 = ta.invariant(ta.initial)
-    init = Zone.zero(ta.clocks).and_constraint(inv0)
-    if init.is_empty():
-        return None
-    init = init.up().and_constraint(inv0)
-    _free(init.m, n, dead[start])
-    # node: (location index, zone); parents: node id -> (parent id, switch)
-    nodes = [(start, init)]
-    parents = {0: None}
-    stored = {start: [init]}
-    queue = deque([0])
-    goal = 0 if final[start] else None
+    zones: list = []  # zone id -> (Zone, {effect id: successor zone id, or -1 if empty})
+    zone_ids: dict = {}  # canonical matrix -> zone id
     unbounded = [INF] * (n - 1)
 
+    def successor(zone: Zone, effect: tuple) -> int:
+        _, guard, resets, inv, dead = effect
+        m = zone.m[:]
+        _conjoin(m, n, guard)  # an emptied matrix stays marked empty
+        _reset(m, n, resets)
+        _conjoin(m, n, inv)
+        if m[0] < LE_ZERO:
+            return -1
+        m[n::n] = unbounded  # up
+        _conjoin(m, n, inv)
+        _free(m, n, dead)
+        z = zone._with(m).extrapolate(k)
+        if z.key() not in zone_ids:
+            zone_ids[z.key()] = len(zones)
+            zones.append((z, {}))
+        return zone_ids[z.key()]
+
+    # the initial zone, delay-closed from zero (its bounds are within k)
+    start = ta.locations.index(ta.initial)
+    if successor(Zone.zero(ta.clocks), (0, (), (), invariant[start], freed[live[start]])) < 0:
+        return None
+    nodes = [(start, 0, None, None)]  # (location, zone id, parent node, switch index)
+    stored = [[] for _ in ta.locations]  # location index -> zone ids
+    stored[start].append(0)
+    queue = deque([0])
+    goal = 0 if final[start] else None
     while queue and goal is None:
         nid = queue.popleft()
-        loc, zone = nodes[nid]
-        for succ in switches_from[loc]:
-            _, guard, resets, dst = succ
-            m = zone.m[:]
-            _conjoin(m, n, guard)
-            if m[0] < LE_ZERO:
+        loc, zid, _, _ = nodes[nid]
+        zone, known = zones[zid]
+        for idx, dst, effect in switches_from[loc]:
+            sid = known.get(effect[0])
+            if sid is None:
+                sid = known[effect[0]] = successor(zone, effect)
+            bucket = stored[dst]
+            if sid < 0 or sid in bucket:
                 continue
-            _reset(m, n, resets)
-            _conjoin(m, n, invariant[dst])
-            if m[0] < LE_ZERO:
+            z = zones[sid][0]
+            if any(zones[other][0].includes(z) for other in bucket):
                 continue
-            m[n::n] = unbounded  # up
-            _conjoin(m, n, invariant[dst])
-            _free(m, n, dead[dst])
-            z = zone._with(m).extrapolate(k)
-            bucket = stored.setdefault(dst, [])
-            if any(existing.includes(z) for existing in bucket):
-                continue
-            nodes.append((dst, z))
-            new_id = len(nodes) - 1
+            nodes.append((dst, sid, nid, idx))
             if len(nodes) > budget:
                 raise ResourceError(f"zone graph exceeded {budget} nodes")
-            parents[new_id] = (nid, loc, succ)
-            bucket.append(z)
-            queue.append(new_id)
+            bucket.append(sid)
+            queue.append(len(nodes) - 1)
             if final[dst]:
-                goal = new_id
+                goal = len(nodes) - 1
                 break
 
     if goal is None:
         return None
 
     path = []
-    cur = goal
-    while parents[cur] is not None:
-        cur, src, (idx, guard, resets, dst) = parents[cur]
+    _, _, parent, idx = nodes[goal]
+    while parent is not None:
+        src, dst, (guard, _), (resets, _) = switches[idx]
         path.append((ta.switches[idx], guard, resets, invariant[src], invariant[dst]))
+        _, _, parent, idx = nodes[parent]
     path.reverse()
     run = _extract_run(ta, path)
     run.replay_valuations(ta)

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from timegolog.plantrans import (
     Plan,
     PlanConstraintError,
     Rel,
+    _matcher_formula,
     build_encoding,
     constraint_formulas,
     constraints_from_json,
@@ -79,6 +81,27 @@ class TestMatchers:
         assert match_action("start(goto(l1))", "start(goto(l1))")
         assert match_action("*pick*", "end(pick(o1))")
         assert not match_action("foo", "bar")
+
+
+def test_matched_names_agree_with_the_matcher_formula():
+    # the validator tests a word entry against a chain matcher by set
+    # intersection; the formula the oracle checks must say the same
+    rng = random.Random(1717)
+    names = ["start(goto(l1))", "end(goto(l1))", "start(pick(o1))", "end(pick(o1))",
+             "goto", "start(step1)", "start(step12)", "end(step1)"]
+    patterns = ["start:goto*", "end:*", "*pick*", "goto", "start:step1*", "start(step1)", "x*", "*"]
+    outcomes = Counter()
+    for _ in range(400):
+        plan = Plan(tuple(rng.choices(names, k=rng.randint(1, 10))))
+        pattern = rng.choice(patterns)
+        matched = plan.matching(pattern)
+        assert matched == {a for a in plan.actions if match_action(pattern, a)}
+        symbols = frozenset(rng.sample(names + ["PlanOrder(1)", "camOn"], rng.randint(0, 4)))
+        word = mtl.TimedWord(((symbols, Q(0)),))
+        holds = mtl.satisfies(word, 0, _matcher_formula(plan, pattern))
+        assert holds == (not symbols.isdisjoint(matched)), (plan, pattern, symbols)
+        outcomes[holds] += 1
+    assert min(outcomes[True], outcomes[False]) > 50
 
 
 class TestEncodePlan:
@@ -285,6 +308,16 @@ def test_search_returns_the_pinned_witnesses():
         json.loads((DEMO_DATA / "transport_constraints.json").read_text()))
     assert transform_plan(plan, platform, constraints) == TRANSPORT_DEMO_WITNESS
     assert transform_plan(*fifty_action_instance()) == FIFTY_ACTION_WITNESS
+
+
+def test_rational_platform_trace_is_pinned():
+    # engage and rest wait 3/2 instead of 1: the zones run on the product
+    # scaled by 2, and rest, 3/2 after cooldown, delays the rest by 1/2
+    plan, platform, constraints = fifty_action_instance()
+    slow = platform.scaled(Q(3, 2))
+    trace = transform_plan(plan, slow, constraints)
+    assert trace == tuple((a, t if t < 11 else t + Q(1, 2)) for a, t in FIFTY_ACTION_WITNESS)
+    assert validate_transformed(trace, plan, slow, constraints)
 
 
 # Three chains over the goto plan whose activations (1,2), (1,4) and (2,4)

@@ -333,6 +333,19 @@ def test_zones_reject_rational_constants():
     assert doubled.scaled(Q(1, 2)) == half and half.scaled(1) is half
 
 
+def test_scaling_keeps_shared_constraints_shared():
+    # the product repeats each plan guard once per platform location; each
+    # distinct constraint object is scaled once
+    product = long_plan_product(50)
+    doubled = product.scaled(2)
+    assert doubled.scaled(Q(1, 2)) == product
+    sources = {}
+    for sw, scaled_sw in zip(product.switches, doubled.switches):
+        assert scaled_sw.guard == sw.guard.scaled(2)
+        assert sources.setdefault(id(sw.guard), scaled_sw.guard) is scaled_sw.guard
+    assert len({id(sw.guard) for sw in doubled.switches}) == len(sources) < len(product.switches)
+
+
 def test_clock_constraints_hold_exact_rationals():
     g = atoms(("x", "<", Q(4, 2)), ("y", ">", Q(1, 3)))
     assert [type(k) for _, _, k in g.atoms] == [int, Q]
