@@ -166,57 +166,44 @@ def is_pnf(phi: MtlFormula) -> bool:
     return False
 
 
+def subformulas(phi: MtlFormula):
+    """Each distinct subformula of phi once, phi first; an explicit stack,
+    so deep formulas need no recursion.  TypeError on anything that is not
+    a formula."""
+    seen = {phi}
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            args = ()
+        elif isinstance(f, (Until, DualUntil)):
+            args = (f.lhs, f.rhs)
+        elif isinstance(f, (And, Or)):
+            args = f.args
+        elif isinstance(f, Not):
+            args = (f.arg,)
+        else:
+            raise TypeError(f"not an MTL formula: {f!r}")
+        yield f
+        for a in reversed(args):
+            if a not in seen:
+                seen.add(a)
+                stack.append(a)
+
+
 def closure(phi: MtlFormula) -> frozenset:
     """Sub-formulas whose outermost connective is Until or DualUntil."""
-    out = set()
-
-    def walk(f):
-        if isinstance(f, (Until, DualUntil)):
-            out.add(f)
-            walk(f.lhs)
-            walk(f.rhs)
-        elif isinstance(f, (And, Or)):
-            for a in f.args:
-                walk(a)
-        elif isinstance(f, Not):
-            walk(f.arg)
-
-    walk(phi)
-    return frozenset(out)
+    return frozenset(f for f in subformulas(phi) if isinstance(f, (Until, DualUntil)))
 
 
 def atoms_of(phi: MtlFormula) -> frozenset[str]:
-    out = set()
-
-    def walk(f):
-        if isinstance(f, Atom):
-            out.add(f.name)
-        elif isinstance(f, Not):
-            walk(f.arg)
-        elif isinstance(f, (And, Or)):
-            for a in f.args:
-                walk(a)
-        elif isinstance(f, (Until, DualUntil)):
-            walk(f.lhs)
-            walk(f.rhs)
-
-    walk(phi)
-    return frozenset(out)
+    return frozenset(f.name for f in subformulas(phi) if isinstance(f, Atom))
 
 
 def max_constant(phi: MtlFormula) -> int:
     """Largest finite interval endpoint, 0 if there is none."""
-    if isinstance(phi, (Atom,)):
-        return 0
-    if isinstance(phi, Not):
-        return max_constant(phi.arg)
-    if isinstance(phi, (And, Or)):
-        return max((max_constant(a) for a in phi.args), default=0)
-    if isinstance(phi, (Until, DualUntil)):
-        return max(
-            phi.interval.max_finite(), max_constant(phi.lhs), max_constant(phi.rhs)
-        )
-    raise TypeError(f"not an MTL formula: {phi!r}")
+    return max((f.interval.max_finite() for f in subformulas(phi)
+                if isinstance(f, (Until, DualUntil))), default=0)
 
 
 def scale_intervals(phi: MtlFormula, factor: int) -> MtlFormula:

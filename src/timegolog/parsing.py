@@ -32,10 +32,8 @@ from .golog import (
 )
 from .mtl import MtlFormula
 from .sexpr import ParseError, parse
-from .temporal import ClockConstraint, Interval, as_fraction, exact, format_fraction
+from .temporal import RELATIONS, ClockConstraint, Interval, as_fraction, exact, format_fraction
 from .timed_automata import Switch, TimedAutomaton, make_ta
-
-RELS = ("<", "<=", "=", ">=", ">")
 
 
 def _is_number(tok) -> bool:
@@ -139,7 +137,7 @@ def parse_static(text_or_expr, bat: Optional[Bat], _scope: Optional[set] = None)
             if bat is not None:
                 bat.sort_members(sort)
             return SQuant(head, var, sort, walk(e[2], scope | {var}))
-        if head in RELS:
+        if head in RELATIONS:
             if len(e) != 3:
                 raise InputError(f"{head} takes two arguments")
             lhs, rhs = e[1], e[2]
@@ -254,7 +252,7 @@ def parse_guard_atoms(text_or_expr) -> tuple:
             for x in e[1:]:
                 walk(x)
             return
-        if e[0] in RELS and len(e) == 3 and isinstance(e[1], str) and _is_number(e[2]):
+        if e[0] in RELATIONS and len(e) == 3 and isinstance(e[1], str) and _is_number(e[2]):
             atoms.append((e[1], e[0], exact(Fraction(e[2]))))
             return
         raise InputError(f"malformed clock constraint {e!r}")
@@ -504,6 +502,12 @@ def load_ta(obj: dict) -> TimedAutomaton:
     """Timed automaton from the JSON form `ta_to_json` writes; its constants
     stay in the units of the input."""
     _check_ta_json(obj)
+    named = {sw[end] for sw in obj.get("switches", ()) for end in ("src", "dst")}
+    undeclared = (named | set(obj.get("finals", ())) | set(obj.get("invariants", {}))
+                  ) - set(obj["locations"])
+    if undeclared:
+        raise InputError("switches, finals and invariants of the timed automaton name "
+                         f"undeclared locations: {sorted(undeclared)}")
     invariants = {
         loc: ClockConstraint(parse_guard_atoms(text))
         for loc, text in obj.get("invariants", {}).items()

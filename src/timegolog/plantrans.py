@@ -18,6 +18,7 @@ from typing import Optional
 
 from . import mtl
 from .mtl import Atom, MtlFormula, TimedWord
+from .parsing import parse_mtl
 from .temporal import ClockConstraint, Interval, eval_constraint, scale_lcm
 from .timed_automata import (
     EPSILON,
@@ -43,6 +44,8 @@ class Plan:
     def __post_init__(self):
         if not all(isinstance(a, str) and a for a in self.actions):
             raise ValueError("plan actions must be non-empty names")
+        if EPSILON in self.actions:
+            raise ValueError(f"the plan action {EPSILON} is reserved for idle self-loops")
 
     def matching(self, pattern: str) -> frozenset:
         """The actions `pattern` matches (`match_action`), computed once."""
@@ -646,15 +649,10 @@ def constraints_from_json(obj: dict) -> ConstraintSet:
     chains = []
     for c in entries("chain"):
         stages = tuple(
-            (mtl_from_beta(_field(st, "beta", str, "stage")), interval(st, "stage"))
+            (parse_mtl(_field(st, "beta", str, "stage")), interval(st, "stage"))
             for st in _field(c, "stages", list, "chain")
         )
         chains.append(Chain(stages, _field(c, "alpha1", str, "chain"),
                             _field(c, "alpha2", str, "chain")))
     return ConstraintSet(abs_cs, rel_cs, tuple(chains))
 
-
-def mtl_from_beta(text: str) -> MtlFormula:
-    from .parsing import parse_mtl
-
-    return parse_mtl(text)

@@ -22,6 +22,7 @@ traces, and `trace_to_word`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -163,7 +164,7 @@ def build_problem(bat: Bat, program: Program, spec: MtlFormula) -> Problem:
         spec = mtl.scale_intervals(spec, scale)
     pnf = mtl.to_pnf(spec)
     automaton = ata_from_mtl(pnf)
-    k = max(1, mtl.max_constant(pnf), *(int(a.const * scale) for a in atoms))
+    k = max(1, automaton.max_constant, *(int(a.const * scale) for a in atoms))
     return Problem(bat, normalize(program), pnf, automaton, k, scale)
 
 
@@ -454,7 +455,6 @@ class _Frame:
 
 def build_graph(
     problem: Problem,
-    root_state: Optional[DetState] = None,
     budget: Optional[int] = None,
     stop_on_bad: bool = False,
     controllable: Optional[Callable[[str], bool]] = None,
@@ -557,8 +557,7 @@ def build_graph(
         settle(frame)  # the empty choice wins before any child is built
 
     stack: list[_Frame] = []
-    root_state = root_state if root_state is not None else initial_det_state(problem)
-    root_node = new_node(root_state, None)
+    root_node = new_node(initial_det_state(problem), None)
     root_succ = classify(root_node)
     if root_succ is None:
         return graph
@@ -651,52 +650,40 @@ def label_graph(problem: Problem, graph: SearchGraph, controllable: Callable[[st
     """Solve the safety game on the finite graph and label every node.
 
     A node is losing iff every valid controller choice hands the environment
-    a losing successor; dominated leaves behave like their dominating
-    ancestor (the controller can keep simulating that ancestor's strategy,
-    and an endless play never completes a trace, hence is safe).  Computed
-    as the least fixpoint of the environment attractor; nodes whose label
-    was already committed during the search keep it.
+    a losing successor (`_choice_label`, the rule the search labels by);
+    dominated leaves behave like their dominating ancestor (the controller
+    can keep simulating that ancestor's strategy, and an endless play never
+    completes a trace, hence is safe).  Computed as the least fixpoint of
+    the environment attractor: a node found losing is labelled False and
+    its predecessors are looked at again.  Nodes whose label was committed
+    during the search keep it, and every node still open at the fixpoint
+    wins.
     """
-    attr = set()
-    rev: dict[int, set] = {n.nid: set() for n in graph.nodes}
-    for node in graph.nodes:
+    nodes = graph.nodes
+    rev: list = [[] for _ in nodes]  # nid -> predecessors, by edge or domination
+    for node in nodes:
         for _, cid in node.edges:
-            rev[cid].add(node.nid)
-        if node.status == SUCCESSFUL and node.dominator is not None:
-            rev[node.dominator].add(node.nid)
-
-    committed = {n.nid: n.label for n in graph.nodes if n.label is not None}
-    attr |= {nid for nid, label in committed.items() if label is False}
-
-    def loses(node: Node) -> bool:
-        if node.nid in committed:
-            return not committed[node.nid]
+            rev[cid].append(node.nid)
         if node.status == SUCCESSFUL:
-            return node.dominator in attr
-        edge_map = dict(node.edges)
-        keys = list(edge_map)
-        candidates = _minimal_valid_sets(problem, node.state, keys, controllable)
-        if not candidates:
-            return True
-        return all(
-            any(edge_map[key] in attr for key in choice) if choice else False
-            for choice in candidates
-        )
-
-    from collections import deque
-
-    work = deque(n.nid for n in graph.nodes)
+            rev[node.dominator].append(node.nid)
+    work = deque(range(len(nodes)))
     while work:
-        nid = work.popleft()
-        if nid in attr:
+        node = nodes[work.popleft()]
+        if node.label is not None:
             continue
-        if loses(graph.nodes[nid]):
-            attr.add(nid)
-            work.extend(rev[nid])
-
-    for node in graph.nodes:
-        node.label = node.nid not in attr
-    return graph.nodes[graph.root].label
+        if node.status == SUCCESSFUL:
+            lost = nodes[node.dominator].label is False
+        else:
+            edges = dict(node.edges)
+            choices = _minimal_valid_sets(problem, node.state, list(edges), controllable)
+            lost = _choice_label(choices, edges, nodes) is False
+        if lost:
+            node.label = False
+            work.extend(rev[node.nid])
+    for node in nodes:
+        if node.label is None:
+            node.label = True
+    return nodes[graph.root].label
 
 
 def check_for_controller(

@@ -22,11 +22,12 @@ into them: a bound "difference <= v" is 2v+1, "difference < v" is 2v, and
 a large sentinel stands for infinity.  Packing makes bound addition and
 comparison single integer operations, and the matrices are small (one row
 per clock plus one), so plain loops that skip infinite entries beat array
-code.  Conjoining a guard closes the matrix incrementally, in O(n^2) per
-tightened bound (Bengtsson & Yi, 2004).  Freeing a clock and the past
-closure keep a canonical matrix canonical in O(n) per clock, so the full
-O(n^3) Floyd-Warshall closure runs only after intersection and after
-extrapolation changes a bound.  Constants are
+code.  The search changes a matrix in place with the kernels `_conjoin`,
+`_reset`, `_free`, `_up` and `_down`; a `Zone` wraps a stored canonical
+matrix.  Conjoining a guard closes the matrix incrementally, in O(n^2) per
+tightened bound (Bengtsson & Yi, 2004).  The other kernels keep a canonical
+matrix canonical in O(n) per clock, so the full O(n^3) Floyd-Warshall
+closure runs only after extrapolation changes a bound.  Constants are
 limited to MAX_CONSTANT in magnitude, so no finite sum of bounds along a
 path through any DBM that fits in memory reaches INF.
 """
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import le, or_
-from typing import Hashable, Iterable, NamedTuple, Optional
+from typing import Hashable, NamedTuple, Optional
 
 from .temporal import (
     ClockConstraint,
@@ -115,6 +116,12 @@ def _free(m: list, n: int, ys):
         m[y] = m[y * n + y] = LE_ZERO
 
 
+def _up(m: list, n: int):
+    """Future closure, in place: no clock has an upper bound (canonical
+    stays canonical)."""
+    m[n::n] = [INF] * (n - 1)
+
+
 def _down(m: list, n: int):
     """Past closure with non-negative clocks, in place: each clock keeps the
     lower bound its differences imply (canonical stays canonical)."""
@@ -142,11 +149,10 @@ class Zone:
     `m` holds the (n+1)x(n+1) packed bounds row by row: the bound on
     x_i - x_j is m[i * (n+1) + j]."""
 
-    __slots__ = ("clocks", "m", "_index")
+    __slots__ = ("clocks", "m")
 
     def __init__(self, clocks: tuple, m: Optional[list] = None):
         self.clocks = tuple(clocks)
-        self._index = {c: i + 1 for i, c in enumerate(self.clocks)}
         n = len(self.clocks) + 1
         if m is None:
             m = [INF] * (n * n)
@@ -167,16 +173,12 @@ class Zone:
         """A zone over the same clocks with matrix m."""
         z = Zone.__new__(Zone)
         z.clocks = self.clocks
-        z._index = self._index
         z.m = m
         return z
 
-    def copy(self) -> "Zone":
-        return self._with(self.m[:])
-
     def canonicalized(self) -> "Zone":
         """Tighten all bounds (Floyd-Warshall closure); idempotent."""
-        z = self.copy()
+        z = self._with(self.m[:])
         m = z.m
         n = len(self.clocks) + 1
         for k in range(n):
@@ -190,52 +192,6 @@ class Zone:
                         s = ik + kj - ((ik | kj) & 1)
                         if s < m[i + j]:
                             m[i + j] = s
-        return z
-
-    def is_empty(self) -> bool:
-        return min(self.m[:: len(self.clocks) + 2]) < LE_ZERO
-
-    def and_atom(self, clock: str, rel: str, const: int) -> "Zone":
-        return self.and_constraint(ClockConstraint(((clock, rel, const),)))
-
-    def and_constraint(self, g: ClockConstraint) -> "Zone":
-        if not g.atoms:
-            return self
-        z = self.copy()
-        _conjoin(z.m, len(self.clocks) + 1, _constraint_bounds(g, self._index))
-        return z
-
-    def intersect(self, other: "Zone") -> "Zone":
-        assert self.clocks == other.clocks
-        return self._with(list(map(min, self.m, other.m))).canonicalized()
-
-    def up(self) -> "Zone":
-        """Future closure: delay by any non-negative amount (stays canonical)."""
-        z = self.copy()
-        n = len(self.clocks) + 1
-        z.m[n::n] = [INF] * (n - 1)
-        return z
-
-    def down(self) -> "Zone":
-        """Past closure (`_down`); input canonical and non-empty."""
-        z = self.copy()
-        _down(z.m, len(self.clocks) + 1)
-        return z
-
-    def reset(self, names: Iterable[str]) -> "Zone":
-        """Zero the given clocks (input must be canonical; stays canonical)."""
-        if not names:
-            return self
-        z = self.copy()
-        _reset(z.m, len(self.clocks) + 1, [self._index[c] for c in names])
-        return z
-
-    def free(self, names: Iterable[str]) -> "Zone":
-        """Unconstrain the given clocks (`_free`); input canonical, non-empty."""
-        if not names:
-            return self
-        z = self.copy()
-        _free(z.m, len(self.clocks) + 1, [self._index[c] for c in names])
         return z
 
     def extrapolate(self, k: int) -> "Zone":
@@ -261,14 +217,6 @@ class Zone:
                 if i == j or packed >= INF:
                     continue
                 yield i, j, packed >> 1, not (packed & 1)
-
-    def contains_point(self, valuation: dict) -> bool:
-        vals = [Fraction(0)] + [valuation[c] for c in self.clocks]
-        for i, j, v, strict in self._bounds():
-            diff = vals[i] - vals[j]
-            if (diff >= v) if strict else (diff > v):
-                return False
-        return True
 
     def firing_window(self, now, reset_at) -> Optional[Interval]:
         """Times t >= now at which the valuation lies in the zone, or None:
@@ -561,7 +509,6 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
 
     zones: list = []  # zone id -> (Zone, {effect id: successor zone id, or -1 if empty})
     zone_ids: dict = {}  # canonical matrix -> zone id
-    unbounded = [INF] * (n - 1)
 
     def successor(zone: Zone, effect: tuple) -> int:
         _, guard, resets, inv, dead = effect
@@ -571,7 +518,7 @@ def zone_reach(ta: TimedAutomaton, budget: int = 200000) -> Optional[Run]:
         _conjoin(m, n, inv)
         if m[0] < LE_ZERO:
             return -1
-        m[n::n] = unbounded  # up
+        _up(m, n)
         _conjoin(m, n, inv)
         _free(m, n, dead)
         z = zone._with(m).extrapolate(k)

@@ -12,6 +12,7 @@ from timegolog.temporal import (
     region_delays,
     time_successors,
 )
+from timegolog.timed_automata import INF
 
 
 def enumerate_completed_traces(bat, program, k, max_actions):
@@ -64,6 +65,23 @@ def is_execution(bat, program, trace) -> bool:
             return False
         state, now = golog.progress(bat, advanced, action), Fraction(t)
     return any(golog.is_final(bat, state, prog) for prog in programs)
+
+
+def zone_contains(zone, valuation: dict) -> bool:
+    """Whether the valuation (clock -> exact value) meets every off-diagonal
+    entry of the zone's packed matrix, decoded here: entry b bounds
+    x_i - x_j by b >> 1, non-strictly when b is odd, and INF bounds nothing.
+    The diagonal is skipped, so an emptiness mark there does not hide the
+    recorded bounds of a zone marked empty."""
+    values = [0] + [valuation[c] for c in zone.clocks]
+    n = len(values)
+    for (i, xi), (j, xj) in product(enumerate(values), repeat=2):
+        if i == j:
+            continue
+        b = zone.m[i * n + j]
+        if b < INF and not (xi - xj <= b >> 1 if b & 1 else xi - xj < b >> 1):
+            return False
+    return True
 
 
 def region_reachable(ta) -> bool:

@@ -490,6 +490,42 @@ class TestTransform:
         err = capsys.readouterr().err
         assert err.startswith("error: platform switch") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["switch", "final", "invariant"])
+    def test_undeclared_location_is_usage_error(self, transform_files, tmp_path, capsys,
+                                                where):
+        # checked where the automaton is read: the search would fail on an
+        # undeclared switch end and silently ignore an undeclared final or
+        # invariant
+        platform_obj = json.loads(Path(transform_files["platform"]).read_text())
+        if where == "switch":
+            platform_obj["switches"][0]["dst"] = "q"
+        elif where == "final":
+            platform_obj["finals"].append("q")
+        else:
+            platform_obj["invariants"]["q"] = "(<= x_cam 1)"
+        platform = tmp_path / "undeclared_platform.json"
+        platform.write_text(json.dumps(platform_obj))
+        assert self.run_transform(transform_files, platform=str(platform)) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: switches, finals and invariants of the timed automaton "
+                       "name undeclared locations: ['q']\n")
+
+    def test_epsilon_plan_action_is_usage_error(self, transform_files, tmp_path, capsys):
+        # transformed traces drop ε steps, so a plan action ε would yield a
+        # trace that fails validation; the plan is rejected as it is read,
+        # before the DOT file is written
+        plan = tmp_path / "epsilon_plan.json"
+        plan.write_text(json.dumps({"actions": ["start(goto(l1))", "ε"]}))
+        dot = tmp_path / "encoding.dot"
+        assert main([
+            "transform", "--plan", str(plan),
+            "--platform", transform_files["platform"],
+            "--constraints", transform_files["constraints"], "--dot", str(dot),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the plan action ε is reserved for idle self-loops\n"
+        assert not dot.exists()
+
     def test_zone_budget_is_usage_error(self, transform_files, capsys, monkeypatch):
         monkeypatch.setattr(plantrans, "zone_reach",
                             lambda ta: timed_automata.zone_reach(ta, budget=1))

@@ -11,7 +11,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timegolog import mtl
@@ -29,18 +29,22 @@ guards = st.one_of(
     st.just("true"), atoms,
     st.lists(atoms, min_size=2, max_size=3).map(lambda a: "(and " + " ".join(a) + ")"),
 )
+rarely = st.sampled_from([False] * 4 + [True])
 
 
 @st.composite
 def platforms(draw):
     locations = draw(st.lists(st.sampled_from(LOCATIONS), min_size=1, max_size=3, unique=True))
     location = st.sampled_from(locations)
+    # now and then a platform's switch ends, finals and invariants may also
+    # name undeclared locations
+    named = st.sampled_from(LOCATIONS) if draw(rarely) else location
     switches = draw(st.lists(st.fixed_dictionaries({
-        "src": location,
+        "src": named,
         "label": st.sampled_from(("on", "off")),
         "guard": guards,
         "resets": st.lists(st.sampled_from(CLOCKS), max_size=2, unique=True),
-        "dst": location,
+        "dst": named,
     }), max_size=4))
     # ε is reserved for idle self-loops, which the transformation adds itself
     switches += [{"src": l, "label": "ε", "dst": l}
@@ -48,9 +52,9 @@ def platforms(draw):
     return {
         "locations": locations,
         "initial": draw(location),
-        "finals": draw(st.lists(location, max_size=2, unique=True)),
+        "finals": draw(st.lists(named, max_size=2, unique=True)),
         "clocks": list(CLOCKS),
-        "invariants": draw(st.dictionaries(location, guards, max_size=2)),
+        "invariants": draw(st.dictionaries(named, guards, max_size=2)),
         "switches": switches,
     }
 
@@ -68,7 +72,9 @@ betas = st.sampled_from(LOCATIONS + ("true", "(not p0)", "(or p1 p2)"))
 @st.composite
 def problems(draw):
     """A plan, a platform and constraints whose positions lie in the plan."""
-    actions = draw(st.lists(st.sampled_from(ACTIONS), max_size=4))
+    # now and then the plan may also use ε, the label reserved for idle self-loops
+    names = ACTIONS + ("ε",) if draw(rarely) else ACTIONS
+    actions = draw(st.lists(st.sampled_from(names), max_size=4))
     positions = st.integers(1, max(len(actions), 1))
     pairs = st.tuples(positions, positions).filter(lambda ij: ij[0] < ij[1])
     constraints = draw(st.fixed_dictionaries({
@@ -160,6 +166,11 @@ def run(argv: list, texts: dict):
 
 @settings(max_examples=300)
 @given(inputs())
+@example({"plan": '{"actions": ["go", "ε"]}', "constraints": "{}",
+          "platform": '{"locations": ["p0"], "initial": "p0", "finals": ["p0"]}'})
+@example({"plan": '{"actions": ["go"]}', "constraints": "{}",
+          "platform": '{"locations": ["p0"], "initial": "p0", "finals": ["p0"], '
+                      '"switches": [{"src": "p0", "label": "on", "dst": "q"}]}'})
 def test_transform_ends_in_a_verdict_or_a_one_line_error(texts):
     run(["transform"], texts)
 

@@ -602,6 +602,26 @@ def test_on_the_fly_search_agrees_with_the_full_graph():
     assert seen["looped controller, reference clean"] >= 5, seen
 
 
+def test_dominated_leaves_are_labelled_like_their_dominator():
+    """Seeded sweep of small games: after `label_graph`, every dominated
+    leaf carries its dominating ancestor's label, losing ones included."""
+    rng = random.Random(2005)
+    losing = 0
+    for case in range(30):
+        bat, prog, spec, ctl = random_game(rng, case % 3 == 0)
+        problem = build_problem(bat, prog, spec)
+        try:
+            graph = build_graph(problem, budget=500)
+        except ResourceError:
+            continue
+        label_graph(problem, graph, ctl)
+        for node in graph.nodes:
+            if node.status == "successful":
+                assert node.label is graph.node(node.dominator).label, (case, node.nid)
+                losing += node.label is False
+    assert losing, "no dominated leaf lost"
+
+
 @pytest.fixture(scope="module")
 def camera_game():
     controllable = lambda a: a.startswith("start(")
