@@ -326,13 +326,27 @@ def transform_plan(
     """Timed realization of the plan interleaved with platform actions, or
     None when the constraints are unsatisfiable.  The platform automaton is
     ε-augmented automatically; ε never shows up in the result.  A caller
-    that has already built `build_encoding(plan, platform, constraints)`
-    passes it as `encoding`, so it is not built again.
+    that has already built `build_encoding(plan, platform, constraints)`,
+    which checks the platform, passes it as `encoding`, so it is not built
+    again.
 
     Platform constants may be rationals; constraint intervals are naturals.
     The zones run on the encoding with every constant multiplied by the lcm
     of the platform's denominators, and the times found are divided by it,
     so the result is in the units of the inputs."""
+    if encoding is None:
+        encoding = build_encoding(plan, platform, constraints)
+    scale = scale_lcm(platform.constants())
+    run = zone_reach(encoding.scaled(scale))
+    if run is None:
+        return None
+    return tuple((label, t / scale) for label, t in run_to_timed_word(run))
+
+
+def check_platform(plan: Plan, platform: TimedAutomaton) -> None:
+    """Reject a platform whose labels collide with plan actions, or that
+    uses ε on anything but a plain self-loop (transformed traces drop ε
+    steps, so such a switch would give a trace that fails validation)."""
     shared = set(plan.actions) & {str(sw.label) for sw in platform.switches}
     if shared:
         raise ValueError(f"plan actions collide with platform labels: {sorted(shared)}")
@@ -342,13 +356,6 @@ def transform_plan(
                 f"platform switch {sw} uses the label {EPSILON}, which is reserved "
                 "for self-loops without guard or resets"
             )
-    scale = scale_lcm(platform.constants())
-    if encoding is None:
-        encoding = build_encoding(plan, platform, constraints)
-    run = zone_reach(encoding.scaled(scale))
-    if run is None:
-        return None
-    return tuple((label, t / scale) for label, t in run_to_timed_word(run))
 
 
 def build_encoding(
@@ -357,7 +364,9 @@ def build_encoding(
     """The fully constrained product automaton (exposed for inspection): the
     plan encoding composed with the ε-augmented platform, then every chain
     activation's surgery, chain by chain and in plan order, in one
-    `enforce_chain` pass."""
+    `enforce_chain` pass.  The inputs go through `check_platform` first, so
+    nothing is built, or written from it, for a platform that is rejected."""
+    check_platform(plan, platform)
     product = parallel_compose(encode_plan(plan, constraints), platform.with_epsilon_loops())
     activations = [
         (act, chain, f"x_chain{ci}")

@@ -5,11 +5,12 @@ alternating timed automaton, run it in lockstep with the program
 interpreter, restrict time steps to region increments over the pooled clock
 set, determinize by collecting all simultaneous (program, automaton-config)
 alternatives, and search the resulting finitely-branching system.  A
-well-quasi-order on states closes paths that are dominated by an ancestor,
-so the search graph is finite even for looping programs.  For synthesis, a
-two-player safety game is labelled during the search, which stops expanding
-a node once its label is decided; the graph so searched decides whether a
-controller exists and yields it.
+well-quasi-order on states closes paths that are dominated by an ancestor
+(in `verify`, by any node explored before), so the search graph is finite
+even for looping programs.  For synthesis, a two-player safety game is
+labelled during the search, which stops expanding a node once its label is
+decided; the graph so searched decides whether a controller exists and
+yields it.
 
 A product state holds its program and automaton clock values as integers
 over one per-state unit: a value v of a state with unit u stands for v/u.
@@ -399,14 +400,16 @@ def member_words(problem: Problem, state: DetState, interned: dict) -> dict:
     return {prog: tuple(found) for prog, found in words.items()}
 
 
-def det_leq(a: Node, b: Node) -> bool:
+def det_leq(a: Node, b: Node, leq: Optional[Callable] = None) -> bool:
     """The well-quasi-order on two nodes with their `member_words`: equal
     worlds, and every member of b dominates a member of a with the same
-    residual program, by monotone domination of their canonical words."""
+    residual program, by monotone domination of their canonical words
+    (`leq`: a search's memo of `mono_dom_leq`, or by default itself)."""
     if (a.state.fluents, a.state.funcs) != (b.state.fluents, b.state.funcs):
         return False
+    leq = leq or mono_dom_leq
     return all(
-        powerset_leq(a.words.get(prog, ()), words, mono_dom_leq)
+        powerset_leq(a.words.get(prog, ()), words, leq)
         for prog, words in b.words.items()
     )
 
@@ -434,6 +437,7 @@ class SearchGraph:
     root: int
     nodes: list
     explored: int = 0
+    covered: int = 0  # nodes closed by a finished node, not by an ancestor
 
     def node(self, nid: int) -> Node:
         return self.nodes[nid]
@@ -466,6 +470,20 @@ def build_graph(
     path), or successor-less; canonically identical states share one node.
     `budget` bounds the number of nodes and the region increments of any
     one node; exceeding it raises `ResourceError`.
+
+    With `stop_on_bad` (as in `verify`) this is the coverability search of
+    well-structured systems (Finkel & Schnoebelen, TCS 2001): a node closes
+    when any earlier classified, non-bad node lies below it (counted in
+    `covered` unless it is an ancestor).  The search stops at the first bad
+    node, so each classified node is an ancestor or finished with no bad
+    node reachable; bad states are downward closed, so nothing above a
+    finished node reaches one either.  This is the state table's reuse of
+    an equal finished node, with `det_leq` for equality.  Only the minimal
+    nodes are kept, in antichains per world and program-clock regions,
+    which `det_leq` needs equal (De Wulf, Doyen, Henzinger & Raskin, CAV
+    2006); a node dropped from one lies above the node that replaced it, so
+    ancestors below a node are found there too.  The full exploration keeps
+    no antichains and checks only the ancestors.
 
     Given the game's `controllable` predicate, the game is labelled during
     the search (on-the-fly solving, Cassez, David, Fleury, Larsen & Lime,
@@ -514,6 +532,39 @@ def build_graph(
             delays = delays_by_values[key] = scaled_region_delays(values, unit, problem.k)
         return delays
 
+    # verify's antichains: per world and program-clock regions, the minimal
+    # non-bad nodes classified so far
+    antichains: dict = {}
+    # mono_dom_leq per pair of words; interned words live as long as the
+    # search, so their ids are stable
+    dominations: dict = {}
+
+    def leq(x, y) -> bool:
+        key = (id(x), id(y))
+        hit = dominations.get(key)
+        if hit is None:
+            hit = dominations[key] = mono_dom_leq(x, y)
+        return hit
+
+    def covering(node: Node) -> Optional[int]:
+        """An antichain node below this one; otherwise the node joins its
+        antichain, which drops the nodes above it."""
+        state = node.state
+        regions = tuple(scaled_region_index(v, state.unit, problem.k) for _, v in state.clocks)
+        key = (state.fluents, state.funcs, regions)
+        progs = node.words.keys()
+        kept = []
+        for other in antichains.get(key, ()):
+            # det_leq(a, b) needs every residual program of b in a
+            others = other.words.keys()
+            if progs <= others and det_leq(other, node, leq):
+                return other.nid
+            if not (others <= progs and det_leq(node, other, leq)):
+                kept.append(other)
+        kept.append(node)
+        antichains[key] = kept
+        return None
+
     def classify(node: Node) -> Optional[list]:
         """Set the node status; returns the successor list for inner nodes."""
         graph.explored += 1
@@ -522,11 +573,15 @@ def build_graph(
             node.label = False
             return None
         node.words = member_words(problem, node.state, interned_words)
-        for anc_id in reversed(path):
-            if det_leq(nodes[anc_id], node):
-                node.status = SUCCESSFUL
-                node.dominator = anc_id
-                return None
+        if not stop_on_bad:
+            dominator = next((a for a in reversed(path) if det_leq(nodes[a], node)), None)
+        else:
+            dominator = covering(node)
+            graph.covered += dominator is not None and dominator not in on_path
+        if dominator is not None:
+            node.status = SUCCESSFUL
+            node.dominator = dominator
+            return None
         node.delays = delays_of(node.state)
         succ = det_successors(problem, node.state, node.delays)
         if not succ:

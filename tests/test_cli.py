@@ -490,6 +490,24 @@ class TestTransform:
         err = capsys.readouterr().err
         assert err.startswith("error: platform switch") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("label", ["ε", "start(goto(l1))"])
+    def test_rejected_platform_leaves_no_dot_file(self, transform_files, tmp_path, capsys,
+                                                  label):
+        # the platform is checked before the product is built for --dot: an
+        # ε on a real switch, or a label that is also a plan action
+        platform_obj = json.loads(Path(transform_files["platform"]).read_text())
+        platform_obj["switches"][0]["label"] = label
+        platform = tmp_path / "rejected_platform.json"
+        platform.write_text(json.dumps(platform_obj))
+        dot = tmp_path / "encoding.dot"
+        assert main([
+            "transform", "--plan", transform_files["plan"], "--platform", str(platform),
+            "--constraints", transform_files["constraints"], "--dot", str(dot),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not dot.exists()
+
     @pytest.mark.parametrize("where", ["switch", "final", "invariant"])
     def test_undeclared_location_is_usage_error(self, transform_files, tmp_path, capsys,
                                                 where):

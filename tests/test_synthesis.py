@@ -475,6 +475,108 @@ def test_verify_agrees_with_brute_force_on_small_corpus():
     assert disagreements == 0
 
 
+# --- verify's covering against the full exploration -------------------------------
+
+
+def toggle_bat(n_atoms):
+    """A toggle theory shaped like the benchmark's: set_pi makes pi true and
+    resets its own clock ci; clear_p0 needs c0 >= 1 and clear_p1 c1 < 2."""
+    bat = tiny_bat(n_atoms, clocked=True)
+    bat.clocks = tuple(f"c{i}" for i in range(n_atoms))
+    bat.sorts["clock"] = bat.clocks
+    guards = [SClock(Const("c0"), ">=", Q(1)), SClock(Const("c1"), "<", Q(2))]
+    for i in range(n_atoms):
+        bat.actions[f"set_p{i}"] = ActionDecl(resets=frozenset({f"c{i}"}))
+        bat.actions[f"clear_p{i}"] = ActionDecl(guard=guards[i])
+    bat.initial = make_state((), {}, {c: 0 for c in bat.clocks})
+    return bat
+
+
+def corpus_spec(rng, atoms):
+    """One of criterion 6's six specification shapes over the theory's
+    atoms, with a random interval and constants up to 3."""
+    a, b = Atom(rng.choice(atoms)), Atom(rng.choice(atoms))
+    lo = rng.randint(0, 2)
+    iv = Interval(lo, rng.choice([None, lo, lo + 1, 3]))
+    return rng.choice([
+        finally_(a, iv),
+        finally_(And((a, b)), iv),
+        Until(a, b, iv),
+        finally_(And((Not(a), finally_(b, iv)))),
+        Not(finally_(b, iv)),
+        mtl.globally(mtl.Or((a, Not(b))), iv),
+    ])
+
+
+def corpus_program(rng, actions, looped):
+    """A seq/par/branch composition of 1 to 4 actions; `looped` puts one of
+    the leaves, or a sequence of two, under a star."""
+    leaves = [PAct(a) for a in actions]
+    parts = [rng.choice(leaves) for _ in range(rng.randint(1, 4))]
+    if looped:
+        i = rng.randrange(len(parts))
+        body = parts[i] if rng.random() < 0.5 else PSeq(parts[i], rng.choice(leaves))
+        parts[i] = PStar(body)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [rng.choice([PSeq, PSeq, PPar, PBranch])(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def test_covering_verify_agrees_with_the_full_exploration():
+    """Seeded sweep of 240 instances on the one- and two-atom toggle
+    theories, a third with a loop: `verify`, whose search closes a node
+    against any finished node below it, answers as the fully explored graph
+    does, and every counterexample it gives is a completed execution that
+    satisfies the specification."""
+    rng = random.Random(23)
+    bats = [toggle_bat(1), toggle_bat(2)]
+    seen = Counter()
+    for case in range(240):
+        bat = bats[case % 2]
+        atoms = sorted(bat.rel_fluents)
+        prog = corpus_program(rng, sorted(bat.actions), looped=case % 3 == 0)
+        spec = corpus_spec(rng, atoms)
+        problem = build_problem(bat, prog, spec)
+        try:
+            full = build_graph(problem, budget=600)
+        except ResourceError:
+            seen["no reference"] += 1
+            continue
+        verdict = verify(bat, prog, spec)
+        assert verdict.safe == (not full.bad_nodes()), (case, str(prog), str(spec))
+        seen["covered"] += build_graph(problem, stop_on_bad=True).covered > 0
+        if verdict.safe:
+            seen["safe"] += 1
+            continue
+        trace = verdict.counterexample
+        assert is_execution(bat, prog, trace), (case, trace)
+        assert mtl.satisfies(trace_to_word(bat, trace), 0, spec), (case, trace)
+        seen["unsafe"] += 1
+    assert seen["no reference"] <= 24, seen
+    assert seen["safe"] >= 40 and seen["unsafe"] >= 40 and seen["covered"] >= 5, seen
+
+
+# the program loops on start(bootCamera) and never grasps: the robot starts at
+# m1 and nothing drives it to m2, so no execution completes
+BOOT_CAMERA_LOOP = {"seq": [{"star": {"act": "start(bootCamera)"}},
+                            {"act": "start(grasp(m2,o1))"}]}
+
+
+def test_boot_camera_loop_closes_by_covering():
+    """The bootCamera loop against camera_spec(2), which the ancestor check
+    alone closes only after 9,267 nodes, verifies safe within a budget of
+    400; enumeration up to four actions finds no violating completed trace."""
+    bat = load_bat(json.loads((DATA / "camera_bat.json").read_text()))
+    prog = load_program(BOOT_CAMERA_LOOP, bat)
+    spec = camera_spec(2)
+    verdict = verify(bat, prog, spec, budget=400)
+    assert (verdict.safe, verdict.nodes) == (True, 161)
+    k = build_problem(bat, prog, spec).k
+    traces = enumerate_completed_traces(bat, prog, k, max_actions=4)
+    assert not any(mtl.satisfies(trace_to_word(bat, tr), 0, spec) for tr in traces)
+
+
 class TestSimulation:
     def test_safe_branch_controller_simulates_clean(self):
         bat = tiny_bat(2)
