@@ -1,14 +1,22 @@
 """Metric temporal logic over finite timed words, point-based semantics.
 
 The `satisfies` evaluator is the reference oracle for the rest of the
-package: it follows the strict-until semantics by direct recursion with
-memoization, trading speed for obvious correctness.
+package, independent of the automata that decide the same logic.  It works
+bottom-up, as offline monitors do (Thati & Roşu, RV 2004; Basin, Klaedtke,
+Müller & Zălinescu, JACM 2015): each distinct subformula gets its truth at
+every position once, from its children's, so the cost is linear in the
+word's length times the number of subformulas, up to the log factor of
+bisecting the times for an interval's ends.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import not_
 from typing import Union
 
 from .temporal import Interval, as_fraction, format_fraction
@@ -167,16 +175,25 @@ def is_pnf(phi: MtlFormula) -> bool:
 
 
 def subformulas(phi: MtlFormula):
-    """Each distinct subformula of phi once, phi first; an explicit stack,
-    so deep formulas need no recursion.  TypeError on anything that is not
-    a formula."""
-    seen = {phi}
+    """Each distinct subformula of phi once, children before parents, so
+    phi comes last; an explicit stack, so deep formulas need no recursion.
+    A None on the stack closes the innermost open formula.  TypeError on
+    anything that is not a formula."""
+    seen = set()
     stack = [phi]
+    opened = []
     while stack:
         f = stack.pop()
+        if f is None:
+            yield opened.pop()
+            continue
+        if f in seen:
+            continue
+        seen.add(f)
         if isinstance(f, Atom):
-            args = ()
-        elif isinstance(f, (Until, DualUntil)):
+            yield f
+            continue
+        if isinstance(f, (Until, DualUntil)):
             args = (f.lhs, f.rhs)
         elif isinstance(f, (And, Or)):
             args = f.args
@@ -184,11 +201,9 @@ def subformulas(phi: MtlFormula):
             args = (f.arg,)
         else:
             raise TypeError(f"not an MTL formula: {f!r}")
-        yield f
-        for a in reversed(args):
-            if a not in seen:
-                seen.add(a)
-                stack.append(a)
+        opened.append(f)
+        stack.append(None)
+        stack.extend(args)
 
 
 def closure(phi: MtlFormula) -> frozenset:
@@ -281,51 +296,60 @@ def word(*entries) -> TimedWord:
     return TimedWord(tuple((frozenset(s), as_fraction(t)) for s, t in entries))
 
 
-def satisfies(rho: TimedWord, i: int, phi: MtlFormula, _memo=None) -> bool:
-    """Point-based truth of phi at position i of rho (strict until)."""
+def satisfies(rho: TimedWord, i: int, phi: MtlFormula) -> bool:
+    """Point-based truth of phi at position i of rho (strict until).
+
+    Every subformula gets a column, its truth at every position of rho,
+    children first.  Times and interval ends are scaled to integers once, by
+    the lcm of their denominators.  A DualUntil holds where the Until of the
+    negated operands has no witness."""
     if not 0 <= i < len(rho):
         raise IndexError(f"position {i} outside word of length {len(rho)}")
-    if _memo is None:
-        _memo = {}
-    key = (i, phi)
-    if key in _memo:
-        return _memo[key]
-    if isinstance(phi, Atom):
-        result = phi.name in rho.symbols(i)
-    elif isinstance(phi, Not):
-        result = not satisfies(rho, i, phi.arg, _memo)
-    elif isinstance(phi, And):
-        result = all(satisfies(rho, i, a, _memo) for a in phi.args)
-    elif isinstance(phi, Or):
-        result = any(satisfies(rho, i, a, _memo) for a in phi.args)
-    elif isinstance(phi, Until):
-        result = False
-        for j in range(i + 1, len(rho)):
-            dt = rho.time(j) - rho.time(i)
-            if phi.interval.contains(dt) and satisfies(rho, j, phi.rhs, _memo):
-                result = True
-                break
-            if phi.interval.hi is not None and dt > phi.interval.hi:
-                break
-            if not satisfies(rho, j, phi.lhs, _memo):
-                break
-    elif isinstance(phi, DualUntil):
-        # dual of the until loop: a witness position refutes the formula
-        witness = False
-        for j in range(i + 1, len(rho)):
-            dt = rho.time(j) - rho.time(i)
-            if phi.interval.contains(dt) and not satisfies(rho, j, phi.rhs, _memo):
-                witness = True
-                break
-            if phi.interval.hi is not None and dt > phi.interval.hi:
-                break
-            if satisfies(rho, j, phi.lhs, _memo):
-                break
-        result = not witness
-    else:
-        raise TypeError(f"not an MTL formula: {phi!r}")
-    _memo[key] = result
-    return result
+    subs = list(subformulas(phi))
+    ends = [e for f in subs if isinstance(f, (Until, DualUntil))
+            for e in (f.interval.lo, f.interval.hi) if e is not None]
+    scale = lcm(*(t.denominator for _, t in rho.entries), *(e.denominator for e in ends))
+    times = [t.numerator * (scale // t.denominator) for _, t in rho.entries]
+    col: dict = {}
+    for f in subs:
+        if isinstance(f, Atom):
+            col[f] = [f.name in syms for syms, _ in rho.entries]
+        elif isinstance(f, Not):
+            col[f] = list(map(not_, col[f.arg]))
+        elif isinstance(f, And):
+            col[f] = list(map(all, zip(*(col[a] for a in f.args)))) if f.args else [True] * len(rho)
+        elif isinstance(f, Or):
+            col[f] = list(map(any, zip(*(col[a] for a in f.args)))) if f.args else [False] * len(rho)
+        elif isinstance(f, Until):
+            col[f] = _witnessed(times, col[f.lhs], col[f.rhs], f.interval, scale)
+        else:
+            col[f] = list(map(not_, _witnessed(times, list(map(not_, col[f.lhs])),
+                                                list(map(not_, col[f.rhs])), f.interval, scale)))
+    return col[phi][i]
+
+
+def _witnessed(times: list, lhs: list, rhs: list, iv: Interval, scale: int) -> list:
+    """The column of (lhs U_iv rhs) on integer times: position i holds iff
+    rhs holds at some j in (i, stop(i)] with times[j] - times[i] in scale*iv,
+    where stop(i) is the first j > i at which lhs fails, or the last
+    position.  The scan at j tests rhs before lhs, so stop(i) is itself a
+    candidate.  Candidates form a range of positions, found by bisection
+    (times do not decrease) and counted by prefix sums of rhs."""
+    count = [0, *accumulate(rhs)]  # count[j]: positions before j at which rhs holds
+    lo = int(iv.lo * scale)
+    hi = None if iv.hi is None else int(iv.hi * scale)
+    first = bisect_right if iv.lo_open else None if lo == 0 else bisect_left
+    last = bisect_left if iv.hi_open else bisect_right
+    out = [False] * len(times)
+    end = len(times)  # one past stop(i)
+    for i in range(len(times) - 1, -1, -1):
+        # a closed low end at 0 admits every later position
+        a = i + 1 if first is None else first(times, times[i] + lo, i + 1, end)
+        b = end if hi is None else last(times, times[i] + hi, a, end)
+        out[i] = count[b] > count[a]
+        if not lhs[i]:
+            end = i + 1
+    return out
 
 
 # --- JSON formula format ------------------------------------------------------

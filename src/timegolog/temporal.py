@@ -3,8 +3,8 @@ quasi-orders.
 
 All clock arithmetic is exact, never floats.  `Interval` is the package's
 one interval type: the intervals of formulas and plan constraints, and the
-windows of times a witness is read from (`Zone.firing_window`, the stages
-of `plantrans.validate_transformed`).  The region kernels work on
+windows of times a witness is read from (`timed_automata.firing_window`,
+the stages of `plantrans.validate_transformed`).  The region kernels work on
 integers over a unit: a clock value v stands for v/unit.  The search in
 `synthesis` keeps its states in that form; the `Fraction` APIs
 (`region_delays`, `canonical_value_map`, `time_successors`) scale the

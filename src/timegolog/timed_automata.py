@@ -218,29 +218,31 @@ class Zone:
                     continue
                 yield i, j, packed >> 1, not (packed & 1)
 
-    def firing_window(self, now, reset_at) -> Optional[Interval]:
-        """Times t >= now at which the valuation lies in the zone, or None:
-        clock self.clocks[i] was last reset at reset_at[i], so at time t it
-        reads t - reset_at[i]; differences of clocks do not change."""
-        lo, lo_strict = now, False
-        hi, hi_strict = None, False
-        for i, j, v, strict in self._bounds():
-            if i == 0:  # -x_j <= v, so t >= reset_at[j] - v
-                cand = reset_at[j - 1] - v
-                if cand > lo or (cand == lo and strict):
-                    lo, lo_strict = cand, strict
-            elif j == 0:  # x_i <= v, so t <= reset_at[i] + v
-                cand = reset_at[i - 1] + v
-                if hi is None or cand < hi or (cand == hi and strict):
-                    hi, hi_strict = cand, strict
-            else:
-                diff = reset_at[j - 1] - reset_at[i - 1]
-                if (diff >= v) if strict else (diff > v):
-                    return None
-        return Interval.nonempty(lo, hi, lo_strict, hi_strict)
-
     def key(self):
         return tuple(self.m)
+
+
+def firing_window(bounds, now, reset_at) -> Optional[Interval]:
+    """Times t >= now at which the valuation lies in a zone, given the
+    zone's decoded bounds (`Zone._bounds`), or None: clock ta.clocks[i] was
+    last reset at reset_at[i], so at time t it reads t - reset_at[i];
+    differences of clocks do not change."""
+    lo, lo_strict = now, False
+    hi, hi_strict = None, False
+    for i, j, v, strict in bounds:
+        if i == 0:  # -x_j <= v, so t >= reset_at[j] - v
+            cand = reset_at[j - 1] - v
+            if cand > lo or (cand == lo and strict):
+                lo, lo_strict = cand, strict
+        elif j == 0:  # x_i <= v, so t <= reset_at[i] + v
+            cand = reset_at[i - 1] + v
+            if hi is None or cand < hi or (cand == hi and strict):
+                hi, hi_strict = cand, strict
+        else:
+            diff = reset_at[j - 1] - reset_at[i - 1]
+            if (diff >= v) if strict else (diff > v):
+                return None
+    return Interval.nonempty(lo, hi, lo_strict, hi_strict)
 
 
 # --- the automaton ---------------------------------------------------------------
@@ -332,7 +334,8 @@ def make_ta(locations, initial, finals, clocks, invariants=None, switches=()) ->
 
 def parallel_compose(a1: TimedAutomaton, a2: TimedAutomaton) -> TimedAutomaton:
     """Asynchronous product: every switch of either side fires on its own,
-    the other side staying put; ε self-loops are preserved per location pair."""
+    the other side staying put; ε self-loops are preserved per location pair.
+    Switches must join declared locations."""
     shared_clocks = set(a1.clocks) & set(a2.clocks)
     if shared_clocks:
         raise ValueError(f"clock names collide: {sorted(shared_clocks)}")
@@ -346,13 +349,15 @@ def parallel_compose(a1: TimedAutomaton, a2: TimedAutomaton) -> TimedAutomaton:
         inv = inv1.conjoin(inv2) if inv1 and inv2 else inv1 or inv2
         if inv and inv.atoms:
             invariants[(l1, l2)] = inv
-    switches = []
-    for sw in a1.switches:
-        for l2 in a2.locations:
-            switches.append(Switch((sw.src, l2), sw.label, sw.guard, sw.resets, (sw.dst, l2)))
-    for sw in a2.switches:
-        for l1 in a1.locations:
-            switches.append(Switch((l1, sw.src), sw.label, sw.guard, sw.resets, (l1, sw.dst)))
+    # switch ends reuse the location pairs: row l1 holds (l1, l2) for each l2
+    # in order, column l2 holds (l1, l2) for each l1
+    n2 = len(a2.locations)
+    rows = {l1: locations[i * n2:(i + 1) * n2] for i, l1 in enumerate(a1.locations)}
+    columns = {l2: locations[j::n2] for j, l2 in enumerate(a2.locations)}
+    switches = [Switch(src, sw.label, sw.guard, sw.resets, dst)
+                for sw in a1.switches for src, dst in zip(rows[sw.src], rows[sw.dst])]
+    switches += [Switch(src, sw.label, sw.guard, sw.resets, dst)
+                 for sw in a2.switches for src, dst in zip(columns[sw.src], columns[sw.dst])]
     return TimedAutomaton(
         locations,
         (a1.initial, a2.initial),
@@ -581,30 +586,39 @@ def _extract_run(ta: TimedAutomaton, path: list) -> Run:
     A step is (switch, packed guard, reset clock indices, packed source and
     target invariants).  post[i] is the feasible set for the valuation at
     the moment switch i fires (after the delay, before the reset), taking
-    the whole remaining suffix into account.  Times stay exact: ints, or a
+    the whole remaining suffix into account.  As in `zone_reach`, each
+    (zone, step kind) pair is computed once and each distinct zone's bounds
+    are decoded once, however long the path.  Times stay exact: ints, or a
     Fraction where a window open at both ends puts a midpoint."""
     n = len(ta.clocks) + 1
-    universal = Zone.universal(ta.clocks)
+    zone = Zone.universal(ta.clocks)  # its past closure is itself
     post = [None] * len(path)
-    m = universal.m  # its past closure is itself
+    known: dict = {}  # (id of the later zone, ids of the step's parts) -> zone
+    # canonical matrix -> the one zone holding it; keeping every zone alive
+    # keeps the ids in `known` from being reused
+    interned = {tuple(zone.m): zone}
     for i in range(len(path) - 1, -1, -1):
         _, guard, resets, inv_src, inv_dst = path[i]
-        m = m[:]
-        _down(m, n)
-        # weakest pre-zone of the reset: each reset clock read 0 after it
-        zeroed = tuple(b for y in resets for b in ((y, 0, LE_ZERO), (0, y, LE_ZERO)))
-        _conjoin(m, n, inv_dst + zeroed)
-        _free(m, n, resets)
-        _conjoin(m, n, guard + inv_src)
-        if m[0] < LE_ZERO:
-            raise AssertionError("infeasible path from zone search")
-        post[i] = universal._with(m)
+        key = (id(zone), id(guard), id(resets), id(inv_src), id(inv_dst))
+        if key not in known:
+            m = zone.m[:]
+            _down(m, n)
+            # weakest pre-zone of the reset: each reset clock read 0 after it
+            zeroed = tuple(b for y in resets for b in ((y, 0, LE_ZERO), (0, y, LE_ZERO)))
+            _conjoin(m, n, inv_dst + zeroed)
+            _free(m, n, resets)
+            _conjoin(m, n, guard + inv_src)
+            if m[0] < LE_ZERO:
+                raise AssertionError("infeasible path from zone search")
+            known[key] = interned.setdefault(tuple(m), zone._with(m))
+        post[i] = zone = known[key]
 
     now = 0
     reset_at = [0] * (n - 1)
     steps = []
+    bounds = {id(z): tuple(z._bounds()) for z in interned.values()}
     for (sw, _, resets, _, _), zone in zip(path, post):
-        window = zone.firing_window(now, reset_at)
+        window = firing_window(bounds[id(zone)], now, reset_at)
         if window is None:
             raise AssertionError("no feasible delay on replay")
         t = window.earliest()

@@ -1,11 +1,14 @@
 """Independent test oracles: region-level brute force, kept deliberately
-separate from the zone engine and the synthesis pipeline."""
+separate from the zone engine and the synthesis pipeline, and the direct
+recursive reading of the MTL semantics that `mtl.satisfies` evaluates
+bottom-up."""
 
 from fractions import Fraction
 from itertools import product
 
 from timegolog import golog
 from timegolog.ata import minimal_models, symbol_step
+from timegolog.mtl import And, Atom, DualUntil, Not, Or, Until
 from timegolog.temporal import (
     canonical_valuation,
     eval_constraint,
@@ -213,3 +216,52 @@ def reference_symbol_step(g, symbol, ata, unit=1):
     per_state = [minimal_models(ata.eta(loc, symbol), v, unit) for loc, v in g]
     unions = {frozenset().union(*choice) for choice in product(*per_state)}
     return frozenset(u for u in unions if not any(o < u for o in unions))
+
+
+def recursive_satisfies(rho, i, phi, _memo=None) -> bool:
+    """Point-based truth of phi at position i of rho (strict until), by
+    direct recursion with memoization: the reference for `mtl.satisfies`.
+    Recursion depth grows with the word, so keep words short."""
+    if not 0 <= i < len(rho):
+        raise IndexError(f"position {i} outside word of length {len(rho)}")
+    if _memo is None:
+        _memo = {}
+    key = (i, phi)
+    if key in _memo:
+        return _memo[key]
+    if isinstance(phi, Atom):
+        result = phi.name in rho.symbols(i)
+    elif isinstance(phi, Not):
+        result = not recursive_satisfies(rho, i, phi.arg, _memo)
+    elif isinstance(phi, And):
+        result = all(recursive_satisfies(rho, i, a, _memo) for a in phi.args)
+    elif isinstance(phi, Or):
+        result = any(recursive_satisfies(rho, i, a, _memo) for a in phi.args)
+    elif isinstance(phi, Until):
+        result = False
+        for j in range(i + 1, len(rho)):
+            dt = rho.time(j) - rho.time(i)
+            if phi.interval.contains(dt) and recursive_satisfies(rho, j, phi.rhs, _memo):
+                result = True
+                break
+            if phi.interval.hi is not None and dt > phi.interval.hi:
+                break
+            if not recursive_satisfies(rho, j, phi.lhs, _memo):
+                break
+    elif isinstance(phi, DualUntil):
+        # dual of the until loop: a witness position refutes the formula
+        witness = False
+        for j in range(i + 1, len(rho)):
+            dt = rho.time(j) - rho.time(i)
+            if phi.interval.contains(dt) and not recursive_satisfies(rho, j, phi.rhs, _memo):
+                witness = True
+                break
+            if phi.interval.hi is not None and dt > phi.interval.hi:
+                break
+            if recursive_satisfies(rho, j, phi.lhs, _memo):
+                break
+        result = not witness
+    else:
+        raise TypeError(f"not an MTL formula: {phi!r}")
+    _memo[key] = result
+    return result

@@ -123,6 +123,17 @@ class TestMtlCheck:
     def test_missing_file_is_usage_error(self):
         assert main(["mtl-check", "--spec", "(finally p)", "--word", "/nonexistent.json"]) == 2
 
+    def test_long_word_is_checked_in_linear_time(self, tmp_path, capsys):
+        # p only at the end: a scan ahead from every position, as a recursive
+        # evaluator does, is quadratic in the length, tens of seconds at this size
+        entries = [{"t": t, "symbols": []} for t in range(3999)]
+        word = tmp_path / "word.json"
+        word.write_text(json.dumps(entries + [{"t": 3999, "symbols": ["p"]}]))
+        start = perf_counter()
+        assert main(["mtl-check", "--spec", "(globally (or p (finally p)))",
+                     "--word", str(word)]) == 0
+        assert perf_counter() - start < 5
+
     def test_parse_error(self, tmp_path):
         word = tmp_path / "word.json"
         word.write_text(json.dumps([{"t": "0", "symbols": []}]))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -24,9 +25,12 @@ from timegolog.mtl import (
     is_pnf,
     max_constant,
     satisfies,
+    subformulas,
     to_pnf,
     word,
 )
+
+from oracles import recursive_satisfies
 
 p, q = Atom("p"), Atom("q")
 CAM, GRASP = Atom("camOn"), Atom("grasping")
@@ -239,3 +243,62 @@ def test_truth_ignores_earlier_entries(rho, phi, data):
     mutated[i - 1] = (frozenset(scrambled), mutated[i - 1][1])
     rho2 = TimedWord(tuple(mutated))
     assert satisfies(rho, i, phi) == satisfies(rho2, i, phi)
+
+
+def random_interval(rng: random.Random) -> Interval:
+    """Ends with denominators 1 to 3, each end open or closed, one interval
+    in five unbounded."""
+    lo = Q(rng.randint(0, 4), rng.randint(1, 3))
+    lo_open = rng.random() < 0.5
+    if rng.random() < 0.2:
+        return Interval(lo, None, lo_open)
+    return Interval(lo, lo + Q(rng.randint(0, 4), rng.randint(1, 3)), lo_open, rng.random() < 0.5)
+
+
+def random_shared_formula(rng: random.Random, size: int):
+    """A formula built by drawing operands from every formula built so far,
+    so subformulas are shared; most connectives are Until and DualUntil."""
+    pool = [Atom(a) for a in ATOMS] + [TRUE, FALSE]
+    for _ in range(size):
+        a, b = rng.choice(pool), rng.choice(pool[-3:])
+        pool.append(rng.choice([
+            lambda: Not(a), lambda: And((a, b)), lambda: Or((b, a)),
+            lambda: Until(a, b, random_interval(rng)), lambda: Until(b, a, random_interval(rng)),
+            lambda: DualUntil(a, b, random_interval(rng)),
+            lambda: DualUntil(b, a, random_interval(rng)),
+        ])())
+    return pool[-1]
+
+
+def random_word(rng: random.Random) -> TimedWord:
+    """1 to 10 entries; a third of the steps take no time, the others a
+    Fraction with denominator 1 to 3."""
+    t, entries = Q(0), []
+    for _ in range(rng.randint(1, 10)):
+        entries.append((frozenset(a for a in ATOMS if rng.random() < 0.4), t))
+        if rng.random() >= 1 / 3:
+            t += Q(rng.randint(1, 4), rng.randint(1, 3))
+    return TimedWord(tuple(entries))
+
+
+def test_bottom_up_evaluator_matches_the_recursive_reference():
+    rng = random.Random(2024)
+    for case in range(2000):
+        rho, phi = random_word(rng), random_shared_formula(rng, rng.randint(1, 7))
+        for i in range(len(rho)):
+            assert satisfies(rho, i, phi) == recursive_satisfies(rho, i, phi), (case, i, rho, phi)
+
+
+def test_subformulas_yields_children_first_and_each_once():
+    shared = Until(p, q, Interval(0, 1))
+    phi = Or((DualUntil(shared, Not(shared)), And((shared, p))))
+    order = list(subformulas(phi))
+    assert len(order) == len(set(order)) == 7 and order[-1] == phi
+    for k, f in enumerate(order):
+        if isinstance(f, (Until, DualUntil)):
+            children = (f.lhs, f.rhs)
+        elif isinstance(f, Not):
+            children = (f.arg,)
+        else:
+            children = getattr(f, "args", ())
+        assert all(order.index(c) < k for c in children)
