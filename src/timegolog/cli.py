@@ -114,14 +114,6 @@ def cmd_synth(args) -> int:
         return 1
     if args.out or args.dot or args.simulate:
         controller = synthesis.extract_controller(problem, graph, controllable)
-        if args.out or args.dot:
-            controller_ta = controller.to_ta()
-            if args.out:
-                with open(args.out, "w") as handle:
-                    json.dump(ta_to_json(controller_ta), handle, indent=2, sort_keys=True)
-            if args.dot:
-                with open(args.dot, "w") as handle:
-                    handle.write(ta_to_dot(controller_ta))
         info["locations"] = len(controller.locations)
         info["edges"] = len(controller.edges)
         info["increment_ties"] = len(controller.tie_warnings)
@@ -139,6 +131,15 @@ def cmd_synth(args) -> int:
                 _emit(args, {**info, "verdict": "controller-unsound"},
                       "controller failed simulation")
                 return 1
+        # a controller that failed its simulation is not written
+        if args.out or args.dot:
+            controller_ta = controller.to_ta()
+            if args.out:
+                with open(args.out, "w") as handle:
+                    json.dump(ta_to_json(controller_ta), handle, indent=2, sort_keys=True)
+            if args.dot:
+                with open(args.dot, "w") as handle:
+                    handle.write(ta_to_dot(controller_ta))
     _emit(args, {**info, "verdict": "controller"},
           f"controller exists ({len(graph.nodes)} nodes)")
     return 0

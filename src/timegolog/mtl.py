@@ -29,7 +29,7 @@ class Hashed:
     hash is computed once, at construction, from the cached hashes of the
     fields.  Subclasses are declared with `@hashed_dataclass`."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", self._fields_hash())
@@ -38,9 +38,11 @@ class Hashed:
         return self._hash
 
 
-def hashed_dataclass(cls):
-    """Frozen dataclass with the hash of `Hashed`."""
-    cls = dataclass(frozen=True)(cls)
+def hashed_dataclass(cls=None, *, slots: bool = False):
+    """Frozen dataclass with the hash of `Hashed`; `slots` as for `dataclass`."""
+    if cls is None:
+        return lambda c: hashed_dataclass(c, slots=slots)
+    cls = dataclass(frozen=True, slots=slots)(cls)
     cls._fields_hash = cls.__hash__
     cls.__hash__ = Hashed.__hash__
     return cls

@@ -17,8 +17,12 @@ over one per-state unit: a value v of a state with unit u stands for v/u.
 Canonical states (the search's nodes) take the rank unit of
 `temporal.scaled_value_map`; exact states (replay and simulation) are
 reduced by the gcd.  A `Fraction` is built only where a time leaves the
-search: the world handed to `golog`, the times of replayed and simulated
-traces, and `trace_to_word`.
+search: the world handed to `golog` where it reads a clock (an action guard,
+or a program test; at region representatives in the search), the times of
+replayed and simulated traces, and `trace_to_word`.
+
+A `Problem`, shared by `build_graph`, `replay_path` and `simulate_controller`,
+interns each `Member` and computes each member step once.
 """
 
 from __future__ import annotations
@@ -72,9 +76,27 @@ class Problem:
         self._symbol_cache = {}
         self._poss_cache = {}
         self._guard_cache = {}
+        self._members = {}  # residual program -> configuration -> its Member
+        self._member_steps = {}
         # when no test reads a clock, transitions and finality are functions
         # of the fluent state alone and the caches can ignore the valuation
         self._clocked_tests = bool(golog.clock_atoms(self.program))
+
+    def member(self, prog: Program, config: frozenset) -> Member:
+        """The one `Member` of this problem with these fields."""
+        by_config = self._members.get(prog)
+        if by_config is None:
+            by_config = self._members[prog] = {}
+        hit = by_config.get(config)
+        if hit is None:
+            hit = by_config[config] = Member(prog, config)
+        return hit
+
+    def world(self, state: DetState) -> WorldState:
+        """The state's world, with its clocks only if a program test reads one."""
+        if self._clocked_tests:
+            return state.world()
+        return WorldState(state.fluents, state.funcs, ())
 
     def progress_fluents(self, state: WorldState, action: str) -> WorldState:
         """The fluents and functional values after the action, without
@@ -131,6 +153,18 @@ class Problem:
             self._symbol_cache[key] = hit
         return hit
 
+    def member_step(self, config: frozenset, delay: int, symbol: frozenset, unit: int) -> frozenset:
+        """`symbol_step(time_step(config, delay, 2), symbol, unit)`: `config`
+        is over unit/2, `delay` and the result over `unit`.  The key holds the
+        unit, since the same integers over another unit are other times."""
+        key = (config, delay, symbol, unit)
+        hit = self._member_steps.get(key)
+        if hit is None:
+            hit = self._member_steps[key] = self.symbol_step(
+                time_step(config, delay, 2), symbol, unit
+            )
+        return hit
+
 
 def build_problem(bat: Bat, program: Program, spec: MtlFormula) -> Problem:
     """Normalize the inputs, scale them to natural constants and fix the
@@ -172,7 +206,7 @@ def build_problem(bat: Bat, program: Program, spec: MtlFormula) -> Problem:
 # --- determinized product states -----------------------------------------------
 
 
-@hashed_dataclass
+@hashed_dataclass(slots=True)
 class Member(Hashed):
     """One surviving (residual program, automaton configuration) alternative;
     members key sets and caches, so the hash is computed once."""
@@ -181,7 +215,7 @@ class Member(Hashed):
     config: frozenset  # of (ata location, clock value over the state's unit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetState:
     """Determinized product state: the shared world (fluents, functional
     values, program clocks) and the set of member alternatives.  Every clock
@@ -227,18 +261,18 @@ def clock_values(state: DetState) -> set:
     return values
 
 
-def canonicalize(state: DetState, k: int) -> DetState:
+def canonicalize(problem: Problem, state: DetState) -> DetState:
     """Joint region representative of all clock values; the node identity."""
-    mapping, unit = scaled_value_map(clock_values(state), state.unit, k)
+    mapping, unit = scaled_value_map(clock_values(state), state.unit, problem.k)
     clocks = tuple((c, mapping[v]) for c, v in state.clocks)
     members = frozenset(
-        Member(m.prog, frozenset((loc, mapping[v]) for loc, v in m.config))
+        problem.member(m.prog, frozenset((loc, mapping[v]) for loc, v in m.config))
         for m in state.members
     )
     return DetState(state.fluents, state.funcs, clocks, members, unit)
 
 
-def reduced(state: DetState) -> DetState:
+def reduced(problem: Problem, state: DetState) -> DetState:
     """The same exact state over the smallest unit."""
     g = gcd(state.unit, *clock_values(state))
     if g == 1:
@@ -247,7 +281,7 @@ def reduced(state: DetState) -> DetState:
         state.fluents, state.funcs,
         tuple((c, v // g) for c, v in state.clocks),
         frozenset(
-            Member(m.prog, frozenset((loc, v // g) for loc, v in m.config))
+            problem.member(m.prog, frozenset((loc, v // g) for loc, v in m.config))
             for m in state.members
         ),
         state.unit // g,
@@ -262,20 +296,20 @@ def exact_initial_state(problem: Problem) -> DetState:
     )
     return DetState(
         w0.fluents, w0.funcs, tuple((c, int(v * unit)) for c, v in w0.clocks),
-        frozenset(Member(problem.program, g) for g in configs), unit,
+        frozenset(problem.member(problem.program, g) for g in configs), unit,
     )
 
 
 def initial_det_state(problem: Problem) -> DetState:
     """Pair the fresh program with the automaton after it reads the set of
     initially true ground fluent atoms."""
-    return canonicalize(exact_initial_state(problem), problem.k)
+    return canonicalize(problem, exact_initial_state(problem))
 
 
 def is_bad(problem: Problem, state: DetState) -> bool:
     """Some member couples a final program configuration with an accepting
     automaton configuration: the trace so far satisfies the undesired spec."""
-    world = state.world()
+    world = problem.world(state)
     return any(
         problem.ata.is_accepting(m.config) and problem.is_final(world, m.prog)
         for m in state.members
@@ -284,7 +318,7 @@ def is_bad(problem: Problem, state: DetState) -> bool:
 
 def is_final_state(problem: Problem, state: DetState) -> bool:
     """Every member may stop here (used for the empty controller choice)."""
-    world = state.world()
+    world = problem.world(state)
     return all(problem.is_final(world, m.prog) for m in state.members)
 
 
@@ -321,18 +355,21 @@ def det_successors_exact(
     program are dropped (acceptance is downward closed).  `delays` are the
     state's `increments`, for callers that already have them.
 
-    What does not depend on the delay is done once: the preconditions, and
-    the program steps unless a program test reads a clock.  A member's
-    configuration is advanced only at an increment where one of its actions
-    passed precondition and guard.
+    What does not depend on the delay is done once: the preconditions, the
+    world and symbol after each action, and the program steps unless a
+    program test reads a clock.  A member's configuration is stepped only at
+    an increment where one of its actions passed precondition and guard, by
+    `Problem.member_step`, once per problem for each step.
     """
     if delays is None:
         delays = increments(problem, state)
     unit = 2 * state.unit
-    world = state.world()
+    # the axioms read no clock, nor do the program steps unless a test does
+    world = WorldState(state.fluents, state.funcs, ())
     moves = None if problem._clocked_tests else _moves(problem, world, state.members)
     if moves == []:
         return []
+    after: dict = {}  # action -> (world after it, its symbol)
     out = []
     for idx, delay in enumerate(delays):
         clocks = tuple((c, 2 * v + delay) for c, v in state.clocks)
@@ -342,22 +379,20 @@ def det_successors_exact(
         enabled = moves
         if enabled is None:
             enabled = _moves(problem, region_world(state, regions), state.members)
-        advanced: dict = {}  # member -> its configuration after the delay
         for action, steps in enabled:
             if not problem.guard_ok(state, regions, action):
                 continue
-            next_world = problem.progress_fluents(world, action)
-            symbol = problem.symbol(next_world)
+            if action not in after:
+                next_world = problem.progress_fluents(world, action)
+                after[action] = (next_world, problem.symbol(next_world))
+            next_world, symbol = after[action]
             configs_of: dict = {}  # residual program -> its configurations
             for member, rest in steps:
-                config = advanced.get(member)
-                if config is None:
-                    config = advanced[member] = time_step(member.config, delay, 2)
                 configs_of.setdefault(rest, set()).update(
-                    problem.symbol_step(config, symbol, unit)
+                    problem.member_step(member.config, delay, symbol, unit)
                 )
             pruned = frozenset(
-                Member(rest, g) for rest, configs in configs_of.items()
+                problem.member(rest, g) for rest, configs in configs_of.items()
                 for g in minimal(configs)
             )
             if not pruned:
@@ -377,7 +412,7 @@ def det_successors(
     """Canonicalized successors, deterministic order (increments ascending,
     actions lexicographic)."""
     return [
-        (key, canonicalize(succ, problem.k))
+        (key, canonicalize(problem, succ))
         for key, succ in det_successors_exact(problem, state, delays)
     ]
 
@@ -419,7 +454,7 @@ def det_leq(a: Node, b: Node, leq: Optional[Callable] = None) -> bool:
 BAD, SUCCESSFUL, DEAD, INNER = "bad", "successful", "dead", "inner"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     nid: int
     state: DetState
@@ -789,7 +824,7 @@ def replay_path(problem: Problem, keys: Iterable[tuple]) -> tuple:
             raise AssertionError("replay diverged from the abstract path")
         now += Fraction(delays[idx], 2 * state.unit)
         trace.append((action, now))
-        state = reduced(succ)
+        state = reduced(problem, succ)
     return tuple(trace)
 
 
@@ -1120,7 +1155,7 @@ def simulate_controller(
                 break
             now += Fraction(delays[key[1]], 2 * state.unit)
             trace.append((key[0], now))
-            state = reduced(succ)
+            state = reduced(problem, succ)
             node = graph.node(selected[key].target)
         if not ended:
             continue

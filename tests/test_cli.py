@@ -349,6 +349,28 @@ class TestSynth:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["edges"] > 0
 
+    def test_controller_failing_simulation_leaves_no_file(self, camera_files, tmp_path,
+                                                          capsys):
+        # the looped camera program's controller fails its simulation (see
+        # TestSimulationReportsPinned), so neither --out nor --dot is written
+        prog = tmp_path / "looped.json"
+        prog.write_text(json.dumps({"par": [
+            {"act": "start(grasp(m2,o1))"},
+            {"star": {"seq": [
+                {"act": "start(bootCamera)"}, {"act": "end(bootCamera)"},
+                {"act": "start(stopCamera)"}, {"act": "end(stopCamera)"},
+            ]}},
+        ]}))
+        out, dot = tmp_path / "ctrl.json", tmp_path / "ctrl.dot"
+        assert main([
+            "synth", "--bat", camera_files["bat"], "--program", str(prog),
+            "--spec", CAMERA_SPEC_TEXT.replace("[0,2]", "[0,1]"),
+            "--controllable", "start(*", "--simulate", "5",
+            "--out", str(out), "--dot", str(dot), "--json",
+        ]) == 1
+        assert json.loads(capsys.readouterr().out)["verdict"] == "controller-unsound"
+        assert not out.exists() and not dot.exists()
+
     def test_impossible_spec_exits_one(self, camera_files, tmp_path, capsys):
         prog = tmp_path / "prog.json"
         prog.write_text(json.dumps({"seq": [

@@ -924,12 +924,12 @@ def test_successors_match_the_eager_fraction_reference(prog, spec, choices):
     problem = build_problem(guarded_bat(), prog, spec)
     state = exact_initial_state(problem)
     for choice in [*choices, None]:
-        for s in (state, canonicalize(state, problem.k)):
+        for s in (state, canonicalize(problem, state)):
             assert in_fractions(det_successors_exact(problem, s)) == eager_successors(problem, s)
         successors = det_successors_exact(problem, state)
         if choice is None or not successors:
             break
-        state = reduced(successors[choice % len(successors)][1])
+        state = reduced(problem, successors[choice % len(successors)][1])
 
 
 # --- work done once per state ---------------------------------------------------
@@ -971,33 +971,97 @@ class TestStateWorkOnce:
     def test_members_advanced_only_where_one_of_their_actions_is_enabled(
         self, camera_problem, monkeypatch
     ):
+        """A configuration is advanced only at a delay where one of its
+        member's actions is enabled, and at most once per configuration,
+        delay, symbol and unit over the whole search: the states of one
+        problem share its member steps."""
         problem = camera_problem
-        advanced = Counter()
-        expected = Counter()
-        current = []
+        needed = set()  # (state, configuration, delay) with an enabled action
+        calls = []
+        current = [None, None]  # the state, the (symbol, unit) of the step
         successors, step = synthesis.det_successors_exact, synthesis.time_step
+        member_step = synthesis.Problem.member_step
 
         def recording_successors(problem, state, delays=None):
-            current[:] = [state]
+            current[0] = state
             for delay in synthesis.increments(problem, state):
                 world = state.world().advanced(Q(delay, 2 * state.unit))
                 for m in state.members:
                     if golog.enabled_steps(problem.bat, world, m.prog):
-                        expected[state, m.config, delay] += 1
+                        needed.add((state, m.config, delay))
             return successors(problem, state, delays)
 
+        def recording_member_step(self, config, delay, symbol, unit):
+            current[1] = (symbol, unit)
+            return member_step(self, config, delay, symbol, unit)
+
         def recording_step(config, delay, scale):
-            advanced[current[0], config, delay] += 1
+            calls.append((current[0], config, delay, current[1]))
             return step(config, delay, scale)
 
         monkeypatch.setattr(synthesis, "det_successors_exact", recording_successors)
+        monkeypatch.setattr(synthesis.Problem, "member_step", recording_member_step)
         monkeypatch.setattr(synthesis, "time_step", recording_step)
         graph = build_graph(problem)
         assert len(graph.nodes) == 453
-        assert advanced == expected
-        # most (state, increment) pairs enable no action of a member
+        assert all((state, config, delay) in needed for state, config, delay, _ in calls)
+        per_key = Counter((config, delay, step) for _, config, delay, step in calls)
+        assert max(per_key.values()) == 1
+        # most (state, increment) pairs enable no action of a member, and
+        # most of those that do repeat a step taken at another state
         pairs = sum(
             len(synthesis.increments(problem, n.state)) * len(n.state.members)
             for n in graph.nodes if n.status in ("inner", "dead")
         )
-        assert 0 < sum(advanced.values()) < pairs
+        assert 0 < len(calls) < len(needed) < pairs
+
+
+def assert_steps_match_a_fresh_problem(inputs, problem, states):
+    """`det_successors_exact` on a problem whose memos earlier states have
+    filled gives, at every state, what a newly built problem gives."""
+    for state in states:
+        fresh = build_problem(*inputs)
+        assert det_successors_exact(problem, state) == det_successors_exact(fresh, state)
+
+
+class TestMemberStepMemo:
+    def test_camera_full_graph(self):
+        inputs = (build_camera_bat(), camera_program(), camera_spec(1))
+        problem = build_problem(*inputs)
+        graph = build_graph(problem)
+        assert len(graph.nodes) == 453
+        assert_steps_match_a_fresh_problem(inputs, problem, [n.state for n in graph.nodes])
+
+    def test_game_sweep(self):
+        """The games of `test_on_the_fly_search_agrees_with_the_full_graph`."""
+        rng = random.Random(2005)
+        checked = 0
+        for case in range(60):
+            bat, prog, spec, _ = random_game(rng, case % 3 == 0)
+            problem = build_problem(bat, prog, spec)
+            try:
+                graph = build_graph(problem, budget=500)
+            except ResourceError:
+                continue
+            assert_steps_match_a_fresh_problem(
+                (bat, prog, spec), problem, [n.state for n in graph.nodes]
+            )
+            checked += len(graph.nodes)
+        assert checked > 1000
+
+    def test_one_configuration_over_two_units(self):
+        """The same integers over units 1 and 2 are the times 1 and 1/2:
+        setting p0 then meets the obligation p0 within [0, 1) at the second
+        time only."""
+        inputs = (tiny_bat(1), PAct("set_p0"), finally_(Atom("p0"), Interval(0, 1, hi_open=True)))
+        problem = build_problem(*inputs)
+        (member,) = exact_initial_state(problem).members
+        config = frozenset((loc, 1) for loc, _ in member.config)
+        states = [
+            DetState(frozenset(), (), (), frozenset({problem.member(member.prog, config)}), unit)
+            for unit in (1, 2)
+        ]
+        assert_steps_match_a_fresh_problem(inputs, problem, states)
+        at_one, at_half = (det_successors_exact(problem, s)[0][1] for s in states)
+        assert [m.config for m in at_one.members] == [frozenset({(loc, 2) for loc, _ in config})]
+        assert [m.config for m in at_half.members] == [frozenset()]
