@@ -131,7 +131,6 @@ def cmd_synth(args) -> int:
                 _emit(args, {**info, "verdict": "controller-unsound"},
                       "controller failed simulation")
                 return 1
-        # a controller that failed its simulation is not written
         if args.out or args.dot:
             controller_ta = controller.to_ta()
             if args.out:

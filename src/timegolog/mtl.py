@@ -38,11 +38,9 @@ class Hashed:
         return self._hash
 
 
-def hashed_dataclass(cls=None, *, slots: bool = False):
-    """Frozen dataclass with the hash of `Hashed`; `slots` as for `dataclass`."""
-    if cls is None:
-        return lambda c: hashed_dataclass(c, slots=slots)
-    cls = dataclass(frozen=True, slots=slots)(cls)
+def hashed_dataclass(cls):
+    """Frozen, slotted dataclass with the hash of `Hashed`."""
+    cls = dataclass(frozen=True, slots=True)(cls)
     cls._fields_hash = cls.__hash__
     cls.__hash__ = Hashed.__hash__
     return cls

@@ -17,17 +17,14 @@ over one per-state unit: a value v of a state with unit u stands for v/u.
 Canonical states (the search's nodes) take the rank unit of
 `temporal.scaled_value_map`; exact states (replay and simulation) are
 reduced by the gcd.  A `Fraction` is built only where a time leaves the
-search: the world handed to `golog` where it reads a clock (an action guard,
-or a program test; at region representatives in the search), the times of
-replayed and simulated traces, and `trace_to_word`.
-
-A `Problem`, shared by `build_graph`, `replay_path` and `simulate_controller`,
-interns each `Member` and computes each member step once.
+search: the world handed to `golog` where a guard or a program test reads a
+clock, the times of replayed and simulated traces, and `trace_to_word`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -61,7 +58,8 @@ class NoControllerError(Exception):
 
 @dataclass
 class Problem:
-    """A synthesis/verification instance with caches shared by the search."""
+    """A synthesis/verification instance with caches shared by the search,
+    the replay and the simulation; it interns members and member steps."""
 
     bat: Bat
     program: Program
@@ -77,7 +75,8 @@ class Problem:
         self._poss_cache = {}
         self._guard_cache = {}
         self._members = {}  # residual program -> configuration -> its Member
-        self._member_steps = {}
+        self._advanced = {}  # (configuration, delay) -> advanced configuration
+        self.memoize = True  # off in the simulation's view of the problem
         # when no test reads a clock, transitions and finality are functions
         # of the fluent state alone and the caches can ignore the valuation
         self._clocked_tests = bool(golog.clock_atoms(self.program))
@@ -85,24 +84,18 @@ class Problem:
     def member(self, prog: Program, config: frozenset) -> Member:
         """The one `Member` of this problem with these fields."""
         by_config = self._members.get(prog)
-        if by_config is None:
-            by_config = self._members[prog] = {}
-        hit = by_config.get(config)
+        hit = None if by_config is None else by_config.get(config)
         if hit is None:
-            hit = by_config[config] = Member(prog, config)
+            hit = Member(prog, config)
+            if self.memoize:
+                self._members.setdefault(prog, {})[config] = hit
         return hit
 
-    def world(self, state: DetState) -> WorldState:
-        """The state's world, with its clocks only if a program test reads one."""
-        if self._clocked_tests:
-            return state.world()
-        return WorldState(state.fluents, state.funcs, ())
-
     def progress_fluents(self, state: WorldState, action: str) -> WorldState:
-        """The fluents and functional values after the action, without
-        clocks; `golog.progress` computes them once per fluent state and
-        action for the theory, and `trace_to_word` reuses them."""
-        return golog.progress(self.bat, WorldState(state.fluents, state.funcs, ()), action)
+        """The fluents and functional values after the action in a world
+        without clocks; `golog.progress` computes them once per fluent state
+        and action for the theory, and `trace_to_word` reuses them."""
+        return golog.progress(self.bat, state, action)
 
     def program_steps(self, state: WorldState, prog: Program) -> frozenset:
         clocks = state.clocks if self._clocked_tests else None
@@ -154,16 +147,16 @@ class Problem:
         return hit
 
     def member_step(self, config: frozenset, delay: int, symbol: frozenset, unit: int) -> frozenset:
-        """`symbol_step(time_step(config, delay, 2), symbol, unit)`: `config`
-        is over unit/2, `delay` and the result over `unit`.  The key holds the
-        unit, since the same integers over another unit are other times."""
-        key = (config, delay, symbol, unit)
-        hit = self._member_steps.get(key)
-        if hit is None:
-            hit = self._member_steps[key] = self.symbol_step(
-                time_step(config, delay, 2), symbol, unit
-            )
-        return hit
+        """`symbol_step(time_step(config, delay, 2), symbol, unit)`, `config`
+        over unit/2: each time step once per delay, each symbol step once per
+        symbol and unit (the same integers over another unit are other times)."""
+        key = (config, delay)
+        advanced = self._advanced.get(key)
+        if advanced is None:
+            advanced = time_step(config, delay, 2)
+            if self.memoize:
+                self._advanced[key] = advanced
+        return self.symbol_step(advanced, symbol, unit)
 
 
 def build_problem(bat: Bat, program: Program, spec: MtlFormula) -> Problem:
@@ -206,7 +199,7 @@ def build_problem(bat: Bat, program: Program, spec: MtlFormula) -> Problem:
 # --- determinized product states -----------------------------------------------
 
 
-@hashed_dataclass(slots=True)
+@hashed_dataclass
 class Member(Hashed):
     """One surviving (residual program, automaton configuration) alternative;
     members key sets and caches, so the hash is computed once."""
@@ -227,11 +220,10 @@ class DetState:
     members: frozenset  # of Member
     unit: int
 
-    def world(self) -> WorldState:
-        return WorldState(
-            self.fluents, self.funcs,
-            tuple((c, Fraction(v, self.unit)) for c, v in self.clocks),
-        )
+    def world(self, clocks: bool = True) -> WorldState:
+        """The state's world; without its clocks for what reads none."""
+        values = tuple((c, Fraction(v, self.unit)) for c, v in self.clocks) if clocks else ()
+        return WorldState(self.fluents, self.funcs, values)
 
 
 def region_world(state: DetState, regions: tuple) -> WorldState:
@@ -309,7 +301,7 @@ def initial_det_state(problem: Problem) -> DetState:
 def is_bad(problem: Problem, state: DetState) -> bool:
     """Some member couples a final program configuration with an accepting
     automaton configuration: the trace so far satisfies the undesired spec."""
-    world = problem.world(state)
+    world = state.world(clocks=problem._clocked_tests)
     return any(
         problem.ata.is_accepting(m.config) and problem.is_final(world, m.prog)
         for m in state.members
@@ -318,7 +310,7 @@ def is_bad(problem: Problem, state: DetState) -> bool:
 
 def is_final_state(problem: Problem, state: DetState) -> bool:
     """Every member may stop here (used for the empty controller choice)."""
-    world = problem.world(state)
+    world = state.world(clocks=problem._clocked_tests)
     return all(problem.is_final(world, m.prog) for m in state.members)
 
 
@@ -340,32 +332,21 @@ def _moves(problem: Problem, world: WorldState, members) -> list:
     return [(a, by_action[a]) for a in sorted(by_action) if problem.poss(world, a)]
 
 
-def det_successors_exact(
-    problem: Problem, state: DetState, delays: Optional[list] = None
-) -> list:
-    """All ((action, increment index), successor) pairs with exact values,
-    the successors over the unit 2 * state.unit.
-
-    Per increment, the enabled actions are the members' syntactic next steps
-    that pass precondition and clock guard at the advanced valuation; the
-    successor unions every member's program/automaton alternatives.  Empty
-    targets (every automaton run dying) are omitted, which is sound because
-    no extension of such a trace can satisfy the specification.  Members
-    whose configuration strictly contains another one with the same residual
-    program are dropped (acceptance is downward closed).  `delays` are the
-    state's `increments`, for callers that already have them.
-
-    What does not depend on the delay is done once: the preconditions, the
-    world and symbol after each action, and the program steps unless a
-    program test reads a clock.  A member's configuration is stepped only at
-    an increment where one of its actions passed precondition and guard, by
-    `Problem.member_step`, once per problem for each step.
-    """
+def det_moves(problem: Problem, state: DetState, delays: Optional[list] = None) -> list:
+    """((action, increment index), move) for each of the members' next steps
+    that passes precondition and clock guard at an increment (`delays`, if
+    given), increments ascending, actions lexicographic.  A move is (delay,
+    unit, clocks, world, symbol, steps): the delay and the successor's
+    program clocks over its unit, the clockless world and the symbol after
+    the action, and the (member, residual program) steps, which only
+    `move_alive` and `move_target` take.  What does not depend on the delay
+    is done once: the preconditions, the world and symbol after each action,
+    and the program steps unless a test reads a clock."""
     if delays is None:
         delays = increments(problem, state)
     unit = 2 * state.unit
     # the axioms read no clock, nor do the program steps unless a test does
-    world = WorldState(state.fluents, state.funcs, ())
+    world = state.world(clocks=False)
     moves = None if problem._clocked_tests else _moves(problem, world, state.members)
     if moves == []:
         return []
@@ -385,25 +366,45 @@ def det_successors_exact(
             if action not in after:
                 next_world = problem.progress_fluents(world, action)
                 after[action] = (next_world, problem.symbol(next_world))
-            next_world, symbol = after[action]
-            configs_of: dict = {}  # residual program -> its configurations
-            for member, rest in steps:
-                configs_of.setdefault(rest, set()).update(
-                    problem.member_step(member.config, delay, symbol, unit)
-                )
-            pruned = frozenset(
-                problem.member(rest, g) for rest, configs in configs_of.items()
-                for g in minimal(configs)
-            )
-            if not pruned:
-                continue
             resets = problem.bat.actions[action].resets
-            out.append(((action, idx), DetState(
-                next_world.fluents, next_world.funcs,
-                tuple((c, 0 if c in resets else v) for c, v in clocks),
-                pruned, unit,
-            )))
+            reset = tuple((c, 0 if c in resets else v) for c, v in clocks)
+            out.append(((action, idx), (delay, unit, reset, *after[action], steps)))
     return out
+
+
+def move_alive(problem: Problem, move: tuple) -> bool:
+    """Some automaton run survives the move: it has a target."""
+    delay, unit, _, _, symbol, steps = move
+    return any(problem.member_step(m.config, delay, symbol, unit) for m, _ in steps)
+
+
+def move_target(problem: Problem, move: tuple) -> Optional[DetState]:
+    """The successor with exact values: every member's program/automaton
+    alternatives, a configuration that strictly contains another one with
+    the same residual program dropped (acceptance is downward closed); None
+    when every automaton run dies, as no extension can then satisfy the
+    specification.  A member is stepped only where one of its actions is
+    enabled, once per problem (`Problem.member_step`)."""
+    delay, unit, clocks, world, symbol, steps = move
+    configs_of: dict = {}  # residual program -> its configurations
+    for member, rest in steps:
+        configs_of.setdefault(rest, set()).update(
+            problem.member_step(member.config, delay, symbol, unit)
+        )
+    pruned = frozenset(
+        problem.member(rest, g) for rest, configs in configs_of.items()
+        for g in minimal(configs)
+    )
+    return DetState(world.fluents, world.funcs, clocks, pruned, unit) if pruned else None
+
+
+def det_successors_exact(problem: Problem, state: DetState, delays: Optional[list] = None) -> list:
+    """All ((action, increment index), successor) pairs of `det_moves` with
+    a target, the successors over the unit 2 * state.unit."""
+    return [
+        (key, succ) for key, move in det_moves(problem, state, delays)
+        if (succ := move_target(problem, move)) is not None
+    ]
 
 
 def det_successors(
@@ -818,8 +819,8 @@ def replay_path(problem: Problem, keys: Iterable[tuple]) -> tuple:
     trace = []
     for action, idx in keys:
         delays = increments(problem, state)
-        successors = dict(det_successors_exact(problem, state, delays))
-        succ = successors.get((action, idx))
+        move = dict(det_moves(problem, state, delays)).get((action, idx))
+        succ = None if move is None else move_target(problem, move)
         if succ is None:
             raise AssertionError("replay diverged from the abstract path")
         now += Fraction(delays[idx], 2 * state.unit)
@@ -1076,16 +1077,18 @@ def simulate_controller(
     Every trial starts from one exact state under one controller, so trials
     revisit states and repeat plays.  The exact work is shared across
     trials: each distinct completed trace is turned into a timed word and
-    checked by the oracle once, and a state's increments and successors are
-    computed at most twice.  The controller conditions, their messages and
-    the adversary's draws stay per step and per trial.  Memory is bounded by
-    reuse: a state's successors are kept from its second expansion on, so
-    only states that recur are stored, and a state expanded once leaves
-    only its hash behind.
+    checked by the oracle once, a state's increments and live moves are
+    computed at most twice, and only the move taken gets a successor.  The
+    controller conditions, their messages and the adversary's draws stay per
+    step and per trial.  Memory is bounded by reuse: a state's live moves
+    are kept from its second expansion on, so only states that recur are
+    stored, and a state expanded once leaves only its hash behind (the view
+    of the problem adds no member and no time step to its memos).
     """
     import random
 
-    problem = controller.problem
+    problem = copy(controller.problem)  # shares the problem's caches
+    problem.memoize = False
     graph = controller.graph
     controllable = controller.controllable
     rng = random.Random(seed)
@@ -1093,7 +1096,7 @@ def simulate_controller(
     failures = []
     completed = 0
     initial = exact_initial_state(problem)
-    recurring = {}  # state -> (delays, successors), from its second expansion on
+    recurring = {}  # state -> (delays, live moves), from its second expansion on
     expanded = set()  # hashes of the states expanded so far
     verdicts = {}  # completed trace -> does it satisfy the (bad) spec
 
@@ -1101,7 +1104,8 @@ def simulate_controller(
         hit = recurring.get(state)
         if hit is None:
             delays = increments(problem, state)
-            hit = (delays, dict(det_successors_exact(problem, state, delays)))
+            moves = det_moves(problem, state, delays)
+            hit = (delays, {key: move for key, move in moves if move_alive(problem, move)})
             key = hash(state)
             if key in expanded:
                 recurring[state] = hit
@@ -1115,19 +1119,19 @@ def simulate_controller(
         trace = []
         ended = False
         for _ in range(max_steps):
-            delays, real_succ = expand(state)
+            delays, real_moves = expand(state)
             selected = {
                 (e.action, e.incr_index): e for e in controller.edges_from(node.nid)
             }
             for key in selected:
-                if key not in real_succ:
+                if key not in real_moves:
                     failures.append(
                         f"trial {trial}: selected {key} not enabled at node {node.nid}"
                     )
             min_ctl = min(
                 (idx for (a, idx) in selected if controllable(a)), default=None
             )
-            for action, idx in real_succ:
+            for action, idx in real_moves:
                 if controllable(action) or (action, idx) in selected:
                     continue
                 if min_ctl is None or min_ctl >= idx:
@@ -1138,7 +1142,7 @@ def simulate_controller(
             if not selected:
                 # stopping is fine at final states and at stuck states (the
                 # play cannot be extended, so no completed trace arises)
-                if real_succ and not is_final_state(problem, state):
+                if real_moves and not is_final_state(problem, state):
                     failures.append(
                         f"trial {trial}: empty selection at non-final node {node.nid}"
                     )
@@ -1149,13 +1153,13 @@ def simulate_controller(
                 key = min(keys, key=lambda k: k[1])
             else:
                 key = rng.choice(keys)
-            succ = real_succ.get(key)
-            if succ is None:
+            move = real_moves.get(key)
+            if move is None:
                 ended = True  # selection error already recorded
                 break
             now += Fraction(delays[key[1]], 2 * state.unit)
             trace.append((key[0], now))
-            state = reduced(problem, succ)
+            state = reduced(problem, move_target(problem, move))
             node = graph.node(selected[key].target)
         if not ended:
             continue

@@ -41,6 +41,7 @@ from timegolog.synthesis import (
     canonicalize,
     check_for_controller,
     det_leq,
+    det_moves,
     det_successors,
     det_successors_exact,
     exact_initial_state,
@@ -49,6 +50,8 @@ from timegolog.synthesis import (
     is_bad,
     label_graph,
     member_words,
+    move_alive,
+    move_target,
     replay_path,
     path_to,
     reduced,
@@ -822,38 +825,38 @@ class TestRegionDelaysOncePerState:
 
     def test_simulation_computes_delays_once_per_step(self, camera_game, monkeypatch):
         controller = extract_controller(*camera_game)
-        calls = {"delays": 0, "successors": 0}
-        delays, successors = synthesis.scaled_region_delays, synthesis.det_successors_exact
+        calls = {"delays": 0, "moves": 0}
+        delays, moves = synthesis.scaled_region_delays, synthesis.det_moves
 
         def counted_delays(values, unit, k):
             calls["delays"] += 1
             return delays(values, unit, k)
 
-        def counted_successors(*args, **kwargs):
-            calls["successors"] += 1
-            return successors(*args, **kwargs)
+        def counted_moves(*args, **kwargs):
+            calls["moves"] += 1
+            return moves(*args, **kwargs)
 
         monkeypatch.setattr(synthesis, "scaled_region_delays", counted_delays)
-        monkeypatch.setattr(synthesis, "det_successors_exact", counted_successors)
+        monkeypatch.setattr(synthesis, "det_moves", counted_moves)
         report = simulate_controller(controller, trials=5, seed=1)
         assert report.ok
-        assert calls["delays"] == calls["successors"] > 0
+        assert calls["delays"] == calls["moves"] > 0
 
     def test_simulation_shares_exact_work_across_trials(self, camera_game, monkeypatch):
         """Over 500 trials each exact state is expanded at most twice and
         each distinct completed trace is checked by the oracle once."""
         states, traces = [], []
-        successors, to_word = synthesis.det_successors_exact, synthesis.trace_to_word
+        moves, to_word = synthesis.det_moves, synthesis.trace_to_word
 
-        def counted_successors(problem, state, delays=None):
+        def counted_moves(problem, state, delays=None):
             states.append(state)
-            return successors(problem, state, delays)
+            return moves(problem, state, delays)
 
         def counted_to_word(bat, trace, atom_filter=None):
             traces.append(trace)
             return to_word(bat, trace, atom_filter)
 
-        monkeypatch.setattr(synthesis, "det_successors_exact", counted_successors)
+        monkeypatch.setattr(synthesis, "det_moves", counted_moves)
         monkeypatch.setattr(synthesis, "trace_to_word", counted_to_word)
         report = simulate_controller(extract_controller(*camera_game), trials=500, seed=0)
         assert report.ok and report.completed > 300
@@ -972,18 +975,17 @@ class TestStateWorkOnce:
         self, camera_problem, monkeypatch
     ):
         """A configuration is advanced only at a delay where one of its
-        member's actions is enabled, and at most once per configuration,
-        delay, symbol and unit over the whole search: the states of one
-        problem share its member steps."""
+        member's actions is enabled, and at most once per configuration and
+        delay over the whole search (so at most once per configuration,
+        delay and unit): the states of one problem share its member steps."""
         problem = camera_problem
         needed = set()  # (state, configuration, delay) with an enabled action
         calls = []
-        current = [None, None]  # the state, the (symbol, unit) of the step
+        current = []
         successors, step = synthesis.det_successors_exact, synthesis.time_step
-        member_step = synthesis.Problem.member_step
 
         def recording_successors(problem, state, delays=None):
-            current[0] = state
+            current[:] = [state]
             for delay in synthesis.increments(problem, state):
                 world = state.world().advanced(Q(delay, 2 * state.unit))
                 for m in state.members:
@@ -991,21 +993,16 @@ class TestStateWorkOnce:
                         needed.add((state, m.config, delay))
             return successors(problem, state, delays)
 
-        def recording_member_step(self, config, delay, symbol, unit):
-            current[1] = (symbol, unit)
-            return member_step(self, config, delay, symbol, unit)
-
         def recording_step(config, delay, scale):
-            calls.append((current[0], config, delay, current[1]))
+            calls.append((current[0], config, delay))
             return step(config, delay, scale)
 
         monkeypatch.setattr(synthesis, "det_successors_exact", recording_successors)
-        monkeypatch.setattr(synthesis.Problem, "member_step", recording_member_step)
         monkeypatch.setattr(synthesis, "time_step", recording_step)
         graph = build_graph(problem)
         assert len(graph.nodes) == 453
-        assert all((state, config, delay) in needed for state, config, delay, _ in calls)
-        per_key = Counter((config, delay, step) for _, config, delay, step in calls)
+        assert all(call in needed for call in calls)
+        per_key = Counter((config, delay) for _, config, delay in calls)
         assert max(per_key.values()) == 1
         # most (state, increment) pairs enable no action of a member, and
         # most of those that do repeat a step taken at another state
@@ -1024,6 +1021,20 @@ def assert_steps_match_a_fresh_problem(inputs, problem, states):
         assert det_successors_exact(problem, state) == det_successors_exact(fresh, state)
 
 
+def game_sweep():
+    """(inputs, problem, searched graph) for the games of
+    `test_on_the_fly_search_agrees_with_the_full_graph`."""
+    rng = random.Random(2005)
+    for case in range(60):
+        bat, prog, spec, _ = random_game(rng, case % 3 == 0)
+        problem = build_problem(bat, prog, spec)
+        try:
+            graph = build_graph(problem, budget=500)
+        except ResourceError:
+            continue
+        yield (bat, prog, spec), problem, graph
+
+
 class TestMemberStepMemo:
     def test_camera_full_graph(self):
         inputs = (build_camera_bat(), camera_program(), camera_spec(1))
@@ -1033,19 +1044,9 @@ class TestMemberStepMemo:
         assert_steps_match_a_fresh_problem(inputs, problem, [n.state for n in graph.nodes])
 
     def test_game_sweep(self):
-        """The games of `test_on_the_fly_search_agrees_with_the_full_graph`."""
-        rng = random.Random(2005)
         checked = 0
-        for case in range(60):
-            bat, prog, spec, _ = random_game(rng, case % 3 == 0)
-            problem = build_problem(bat, prog, spec)
-            try:
-                graph = build_graph(problem, budget=500)
-            except ResourceError:
-                continue
-            assert_steps_match_a_fresh_problem(
-                (bat, prog, spec), problem, [n.state for n in graph.nodes]
-            )
+        for inputs, problem, graph in game_sweep():
+            assert_steps_match_a_fresh_problem(inputs, problem, [n.state for n in graph.nodes])
             checked += len(graph.nodes)
         assert checked > 1000
 
@@ -1065,3 +1066,27 @@ class TestMemberStepMemo:
         at_one, at_half = (det_successors_exact(problem, s)[0][1] for s in states)
         assert [m.config for m in at_one.members] == [frozenset({(loc, 2) for loc, _ in config})]
         assert [m.config for m in at_half.members] == [frozenset()]
+
+
+class TestLazyMoves:
+    def test_live_moves_are_the_moves_with_a_target(self):
+        dead = 0
+        for _, problem, graph in game_sweep():
+            for node in graph.nodes:
+                for _, move in det_moves(problem, node.state):
+                    target = move_target(problem, move)
+                    assert move_alive(problem, move) == (target is not None)
+                    dead += target is None
+        assert dead > 0
+
+    def test_simulation_adds_no_member_and_no_time_step(self, looped_camera_controller):
+        """The looped controller's simulation expands many states once; they
+        leave nothing in the problem's memos, which it still reads."""
+        problem = looped_camera_controller.problem
+
+        def sizes():
+            return sum(map(len, problem._members.values())), len(problem._advanced)
+
+        before = sizes()
+        report = simulate_controller(looped_camera_controller, trials=40, seed=0)
+        assert report.condition_failures and sizes() == before and problem.memoize
