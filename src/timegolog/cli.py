@@ -190,6 +190,14 @@ def cmd_ata_dump(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {text}")
+        return int(text)
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="timegolog",
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--bat", required=True, help="theory JSON")
     p_verify.add_argument("--program", required=True, help="program JSON")
     p_verify.add_argument("--spec", required=True, help="formula (s-expression or file)")
-    p_verify.add_argument("--budget", type=int, default=None,
+    p_verify.add_argument("--budget", type=_at_least(1), default=None,
                           help="node budget; also bounds the region increments of one node")
     p_verify.add_argument("--json", action="store_true", help="machine-readable verdict")
     p_verify.set_defaults(func=cmd_verify)
@@ -216,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated action patterns, e.g. 'start(*'")
     p_synth.add_argument("--out", help="controller JSON output path")
     p_synth.add_argument("--dot", help="controller DOT output path")
-    p_synth.add_argument("--budget", type=int, default=None)
-    p_synth.add_argument("--simulate", type=int, default=0, metavar="TRIALS",
-                         help="randomized controller simulation trials")
+    p_synth.add_argument("--budget", type=_at_least(1), default=None)
+    p_synth.add_argument("--simulate", type=_at_least(0), default=0, metavar="TRIALS",
+                         help="randomized controller simulation trials (0: none)")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--debug-graph", metavar="PATH",
                          help="dump the searched graph, labelled during the search, "

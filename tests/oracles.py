@@ -1,14 +1,18 @@
 """Independent test oracles: region-level brute force, kept deliberately
 separate from the zone engine and the synthesis pipeline, and the direct
 recursive reading of the MTL semantics that `mtl.satisfies` evaluates
-bottom-up."""
+bottom-up.  Also references that keep what an optimization dropped: the
+eager Fraction successors, and the exact successor without the clamp of
+values above k."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from timegolog import golog
 from timegolog.ata import minimal_models, symbol_step
 from timegolog.mtl import And, Atom, DualUntil, Not, Or, Until
+from timegolog.synthesis import DetState, Member, clock_values, move_target
 from timegolog.temporal import (
     canonical_valuation,
     eval_constraint,
@@ -207,6 +211,21 @@ def eager_successors(problem, state):
             if kept:
                 out.append(((action, idx), (after.fluents, after.funcs, after.clocks, kept)))
     return out
+
+
+def unclamped_target(problem, move):
+    """Reference for `synthesis.exact_target`: `move_target` over its
+    smallest unit by the plain gcd, every clock value kept, above k too."""
+    state = move_target(problem, move)
+    if state is None:
+        return None
+    g = gcd(state.unit, *clock_values(state))
+    return DetState(
+        state.fluents, state.funcs, tuple((c, v // g) for c, v in state.clocks),
+        frozenset(Member(m.prog, frozenset((loc, v // g) for loc, v in m.config))
+                  for m in state.members),
+        state.unit // g,
+    )
 
 
 def reference_symbol_step(g, symbol, ata, unit=1):

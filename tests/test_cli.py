@@ -670,6 +670,28 @@ def test_search_payloads_are_the_same_under_any_hash_seed(argv):
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--simulate", "-3"],
+    ["synth", "--simulate", "x"],
+    ["synth", "--budget", "0"],
+    ["synth", "--budget", "-1"],
+    ["verify", "--budget", "-1"],
+])
+def test_counts_out_of_range_are_usage_errors(camera_files, tmp_path, capsys, argv):
+    # a negative trial count would report a simulation that never ran, and
+    # a budget below 1 an exhausted search: both stop before any search
+    out = tmp_path / "ctrl.json"
+    command, *rest = argv
+    extra = ["--controllable", "start(*", "--out", str(out)] if command == "synth" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--bat", camera_files["bat"], "--program", camera_files["program"],
+              "--spec", CAMERA_SPEC_TEXT, *extra, *rest, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {rest[0]}" in captured.err
+    assert not out.exists()
+
+
 def test_deep_nesting_is_a_usage_error(camera_files, tmp_path, capsys):
     # past the recursion limit the loaders fail; that is an input error
     # (exit 2), not a traceback whose exit 1 reads as a negative verdict

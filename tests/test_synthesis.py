@@ -45,6 +45,7 @@ from timegolog.synthesis import (
     det_successors,
     det_successors_exact,
     exact_initial_state,
+    exact_target,
     extract_controller,
     initial_det_state,
     is_bad,
@@ -54,7 +55,6 @@ from timegolog.synthesis import (
     move_target,
     replay_path,
     path_to,
-    reduced,
     simulate_controller,
     trace_to_word,
     verify,
@@ -71,7 +71,7 @@ from fixtures import (
     set_test_clear,
     toggle_bat_json,
 )
-from oracles import eager_successors, enumerate_completed_traces, is_execution
+from oracles import eager_successors, enumerate_completed_traces, is_execution, unclamped_target
 
 
 def tiny_bat(n_atoms=2, clocked=False):
@@ -932,7 +932,8 @@ def test_successors_match_the_eager_fraction_reference(prog, spec, choices):
         successors = det_successors_exact(problem, state)
         if choice is None or not successors:
             break
-        state = reduced(problem, successors[choice % len(successors)][1])
+        key = successors[choice % len(successors)][0]
+        state = exact_target(problem, dict(det_moves(problem, state))[key])
 
 
 # --- work done once per state ---------------------------------------------------
@@ -1090,3 +1091,88 @@ class TestLazyMoves:
         before = sizes()
         report = simulate_controller(looped_camera_controller, trials=40, seed=0)
         assert report.condition_failures and sizes() == before and problem.memoize
+
+
+def live_keys(problem, state) -> set:
+    return {key for key, move in det_moves(problem, state) if move_alive(problem, move)}
+
+
+class TestClampedSuccessors:
+    """The replay and the simulation step to `exact_target`, which sets every
+    clock value above k to k + 1; region equivalence says that no guard,
+    program test or spec interval tells the two apart."""
+
+    @staticmethod
+    def checked_plays(monkeypatch, controllers, trials):
+        """Simulate each (controller, seed); at every step assert that the
+        clamped successor and the unclamped reference have the same
+        canonical state, the same increments (as times) and the same live
+        moves.  Returns the number of steps checked and of those at which
+        the clamp changed a value."""
+        counts = Counter()
+        target = synthesis.exact_target
+
+        def checked(problem, move):
+            clamped, reference = target(problem, move), unclamped_target(problem, move)
+            assert (clamped is None) == (reference is None)
+            if clamped is not None:
+                assert canonicalize(problem, clamped) == canonicalize(problem, reference)
+                assert [Q(d, 2 * clamped.unit) for d in synthesis.increments(problem, clamped)] == [
+                    Q(d, 2 * reference.unit) for d in synthesis.increments(problem, reference)
+                ]
+                assert live_keys(problem, clamped) == live_keys(problem, reference)
+                counts["steps"] += 1
+                counts["clamped"] += clamped != reference
+            return clamped
+
+        monkeypatch.setattr(synthesis, "exact_target", checked)
+        for controller, seed in controllers:
+            simulate_controller(controller, trials=trials, seed=seed)
+        return counts
+
+    def test_camera_controllers(self, monkeypatch, looped_camera_controller):
+        controllable = lambda a: a.startswith("start(")
+        controllers = [(looped_camera_controller, 0), (looped_camera_controller, 1)]
+        for k in (1, 2, 3):
+            result, graph, problem = check_for_controller(
+                build_camera_bat(), camera_program(), camera_spec(k), controllable
+            )
+            assert result is True
+            controllers.append((extract_controller(problem, graph, controllable), k))
+        counts = self.checked_plays(monkeypatch, controllers, trials=20)
+        assert counts["clamped"] > 500 and counts["steps"] > 2000, counts
+
+    def test_game_sweep(self, monkeypatch):
+        rng = random.Random(2005)
+        controllers = []
+        for case in range(60):
+            bat, prog, spec, ctl = random_game(rng, case % 3 == 0)
+            try:
+                result, graph, problem = check_for_controller(bat, prog, spec, ctl, budget=2000)
+            except ResourceError:
+                continue  # one looped game searches 9,267 nodes
+            if result:
+                controllers.append((extract_controller(problem, graph, ctl), case))
+        counts = self.checked_plays(monkeypatch, controllers, trials=10)
+        assert len(controllers) == 49 and counts["clamped"] > 100, (len(controllers), counts)
+
+    def test_looped_simulation_work_is_pinned(self, looped_camera_controller, monkeypatch):
+        """synth-loop-k1's trials and seed in the benchmark: with values above
+        k clamped, the looped play's exact states recur (107 expansions of
+        67 distinct states; 320 of 291 without the clamp)."""
+        states = []
+        increments = synthesis.increments
+
+        def counted(problem, state):
+            states.append(state)
+            return increments(problem, state)
+
+        monkeypatch.setattr(synthesis, "increments", counted)
+        report = simulate_controller(looped_camera_controller, trials=10, seed=19494)
+        assert len(report.condition_failures) == 40
+        assert (len(states), len(set(states))) == (107, 67)
+        assert max(len(s.members) for s in states) == 6
+
+    def test_negative_trials_are_refused(self, looped_camera_controller):
+        with pytest.raises(ValueError, match="trials"):
+            simulate_controller(looped_camera_controller, trials=-1)
