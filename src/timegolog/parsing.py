@@ -32,7 +32,7 @@ from .golog import (
 )
 from .mtl import MtlFormula
 from .sexpr import ParseError, parse
-from .temporal import RELATIONS, ClockConstraint, Interval, as_fraction, exact, format_fraction
+from .temporal import RELATIONS, ClockConstraint, Interval, as_fraction, exact
 from .timed_automata import Switch, TimedAutomaton, make_ta
 
 
@@ -418,52 +418,6 @@ def load_program(obj, bat: Bat) -> golog.Program:
     raise InputError(f"unknown program kind {kind!r}")
 
 
-def program_to_json(p: golog.Program) -> dict:
-    if isinstance(p, golog.PAct):
-        return {"act": p.action}
-    if isinstance(p, golog.PTest):
-        return {"test": static_to_sexpr(p.formula)}
-    if isinstance(p, golog.PSeq):
-        return {"seq": [program_to_json(p.first), program_to_json(p.second)]}
-    if isinstance(p, golog.PBranch):
-        return {"branch": [program_to_json(p.left), program_to_json(p.right)]}
-    if isinstance(p, golog.PPar):
-        return {"par": [program_to_json(p.left), program_to_json(p.right)]}
-    if isinstance(p, golog.PStar):
-        return {"star": program_to_json(p.body)}
-    raise InputError(f"not a program: {p!r}")
-
-
-def term_to_sexpr(t) -> str:
-    if isinstance(t, (Var, Const)):
-        return str(t)
-    if isinstance(t, App):
-        if not t.args:
-            return t.fn
-        return "(" + t.fn + " " + " ".join(term_to_sexpr(a) for a in t.args) + ")"
-    raise InputError(f"not a term: {t!r}")
-
-
-def static_to_sexpr(f: Formula) -> str:
-    if isinstance(f, SAnd):
-        return "true" if not f.args else "(and " + " ".join(static_to_sexpr(a) for a in f.args) + ")"
-    if isinstance(f, SOr):
-        return "false" if not f.args else "(or " + " ".join(static_to_sexpr(a) for a in f.args) + ")"
-    if isinstance(f, SNot):
-        return f"(not {static_to_sexpr(f.arg)})"
-    if isinstance(f, SQuant):
-        return f"({f.kind} ({f.var} {f.sort}) {static_to_sexpr(f.body)})"
-    if isinstance(f, SAtom):
-        if not f.args:
-            return f.fluent
-        return "(" + f.fluent + " " + " ".join(term_to_sexpr(a) for a in f.args) + ")"
-    if isinstance(f, SEq):
-        return f"(= {term_to_sexpr(f.lhs)} {term_to_sexpr(f.rhs)})"
-    if isinstance(f, SClock):
-        return f"({f.rel} {term_to_sexpr(f.clock)} {format_fraction(f.const)})"
-    raise InputError(f"not a static formula: {f!r}")
-
-
 # --- timed automata ----------------------------------------------------------------
 
 
@@ -502,12 +456,6 @@ def load_ta(obj: dict) -> TimedAutomaton:
     """Timed automaton from the JSON form `ta_to_json` writes; its constants
     stay in the units of the input."""
     _check_ta_json(obj)
-    named = {sw[end] for sw in obj.get("switches", ()) for end in ("src", "dst")}
-    undeclared = (named | set(obj.get("finals", ())) | set(obj.get("invariants", {}))
-                  ) - set(obj["locations"])
-    if undeclared:
-        raise InputError("switches, finals and invariants of the timed automaton name "
-                         f"undeclared locations: {sorted(undeclared)}")
     invariants = {
         loc: ClockConstraint(parse_guard_atoms(text))
         for loc, text in obj.get("invariants", {}).items()
@@ -527,6 +475,6 @@ def load_ta(obj: dict) -> TimedAutomaton:
         obj["initial"],
         obj.get("finals", ()),
         tuple(obj.get("clocks", ())),
-        {l: g for l, g in invariants.items() if g.atoms},
+        invariants,
         switches,
     )

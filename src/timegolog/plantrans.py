@@ -316,7 +316,10 @@ def enforce_chain(product: TimedAutomaton, activations: list) -> TimedAutomaton:
         loc: product.invariants[base] for loc, _, _, base in records if base in product.invariants
     }
     finals = frozenset(l for l in product.finals if not covering[position[l[0]]])
-    return make_ta([r[0] for r in records], product.initial, finals, clocks, invariants, switches)
+    # built from a checked product, so every location it names is declared
+    return TimedAutomaton(
+        tuple(r[0] for r in records), product.initial, finals, clocks, invariants, tuple(switches)
+    )
 
 
 def transform_plan(

@@ -24,7 +24,6 @@ test reads a clock, the times of replayed and simulated traces, `trace_to_word`.
 from __future__ import annotations
 
 from collections import deque
-from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -58,8 +57,9 @@ class NoControllerError(Exception):
 
 @dataclass
 class Problem:
-    """A synthesis/verification instance with caches shared by the search,
-    the replay and the simulation; it interns members and member steps."""
+    """A synthesis/verification instance with caches that the search, the
+    replay and the simulation share and fill; it interns members and member
+    steps."""
 
     bat: Bat
     program: Program
@@ -76,7 +76,6 @@ class Problem:
         self._guard_cache = {}
         self._members = {}  # residual program -> configuration -> its Member
         self._advanced = {}  # (configuration, delay) -> advanced configuration
-        self.memoize = True  # off in the simulation's view of the problem
         # when no test reads a clock, transitions and finality are functions
         # of the fluent state alone and the caches can ignore the valuation
         self._clocked_tests = bool(golog.clock_atoms(self.program))
@@ -84,11 +83,11 @@ class Problem:
     def member(self, prog: Program, config: frozenset) -> Member:
         """The one `Member` of this problem with these fields."""
         by_config = self._members.get(prog)
-        hit = None if by_config is None else by_config.get(config)
+        if by_config is None:
+            by_config = self._members[prog] = {}
+        hit = by_config.get(config)
         if hit is None:
-            hit = Member(prog, config)
-            if self.memoize:
-                self._members.setdefault(prog, {})[config] = hit
+            hit = by_config[config] = Member(prog, config)
         return hit
 
     def progress_fluents(self, state: WorldState, action: str) -> WorldState:
@@ -153,9 +152,7 @@ class Problem:
         key = (config, delay)
         advanced = self._advanced.get(key)
         if advanced is None:
-            advanced = time_step(config, delay, 2)
-            if self.memoize:
-                self._advanced[key] = advanced
+            advanced = self._advanced[key] = time_step(config, delay, 2)
         return self.symbol_step(advanced, symbol, unit)
 
 
@@ -323,7 +320,7 @@ def det_moves(problem: Problem, state: DetState, delays: Optional[list] = None) 
     unit, clocks, world, symbol, steps): the delay and the successor's
     program clocks over its unit, the clockless world and the symbol after
     the action, and the (member, residual program) steps, which only
-    `move_alive` and `move_target` take.  What does not depend on the delay
+    `move_target` and `exact_target` take.  What does not depend on the delay
     is done once: the preconditions, the world and symbol after each action,
     and the program steps unless a test reads a clock."""
     if delays is None:
@@ -354,12 +351,6 @@ def det_moves(problem: Problem, state: DetState, delays: Optional[list] = None) 
             reset = tuple((c, 0 if c in resets else v) for c, v in clocks)
             out.append(((action, idx), (delay, unit, reset, *after[action], steps)))
     return out
-
-
-def move_alive(problem: Problem, move: tuple) -> bool:
-    """Some automaton run survives the move: it has a target."""
-    delay, unit, _, _, symbol, steps = move
-    return any(problem.member_step(m.config, delay, symbol, unit) for m, _ in steps)
 
 
 def _target_configs(problem: Problem, move: tuple) -> list:
@@ -1080,22 +1071,19 @@ def simulate_controller(
     Every trial starts from one exact state under one controller, so trials
     revisit states and repeat plays.  The exact work is shared across
     trials: each distinct completed trace is turned into a timed word and
-    checked by the oracle once, a state's increments and live moves are
-    computed at most twice, and only the move taken gets a successor.  The
-    controller conditions, their messages and the adversary's draws stay per
-    step and per trial.  Memory is bounded by reuse: a state's live moves
-    are kept from its second expansion on, so only states that recur are
-    stored, and a state expanded once leaves only its hash behind (the view
-    of the problem adds no member and no time step to its memos).  The
-    looped camera controller's 10 benchmark trials expand 107 states, 67
-    distinct (320 and 291 unclamped).
+    checked by the oracle once, and each distinct state is expanded once,
+    into its increments and the successor of each live move, which every
+    later visit reads.  The controller conditions, their messages and the
+    adversary's draws stay per step and per trial.  The memo holds each
+    distinct state visited once, so at most trials * max_steps of them, and
+    the clamp keeps the states of a looping play recurring: the looped
+    camera controller's 10 benchmark trials visit 107 states, 67 distinct.
     """
     import random
 
     if trials < 0:
         raise ValueError(f"trials must be at least 0, not {trials}")
-    problem = copy(controller.problem)  # shares the problem's caches
-    problem.memoize = False
+    problem = controller.problem
     graph = controller.graph
     controllable = controller.controllable
     rng = random.Random(seed)
@@ -1103,20 +1091,18 @@ def simulate_controller(
     failures = []
     completed = 0
     initial = exact_initial_state(problem)
-    recurring = {}  # state -> (delays, live moves), from its second expansion on
-    expanded = set()  # hashes of the states expanded so far
+    expanded = {}  # state -> (delays, {timed action: its successor})
     verdicts = {}  # completed trace -> does it satisfy the (bad) spec
 
     def expand(state: DetState) -> tuple:
-        hit = recurring.get(state)
+        hit = expanded.get(state)
         if hit is None:
             delays = increments(problem, state)
-            moves = det_moves(problem, state, delays)
-            hit = (delays, {key: move for key, move in moves if move_alive(problem, move)})
-            key = hash(state)
-            if key in expanded:
-                recurring[state] = hit
-            expanded.add(key)
+            successors = {
+                key: succ for key, move in det_moves(problem, state, delays)
+                if (succ := exact_target(problem, move)) is not None
+            }
+            hit = expanded[state] = (delays, successors)
         return hit
 
     for trial in range(trials):
@@ -1126,19 +1112,19 @@ def simulate_controller(
         trace = []
         ended = False
         for _ in range(max_steps):
-            delays, real_moves = expand(state)
+            delays, successors = expand(state)
             selected = {
                 (e.action, e.incr_index): e for e in controller.edges_from(node.nid)
             }
             for key in selected:
-                if key not in real_moves:
+                if key not in successors:
                     failures.append(
                         f"trial {trial}: selected {key} not enabled at node {node.nid}"
                     )
             min_ctl = min(
                 (idx for (a, idx) in selected if controllable(a)), default=None
             )
-            for action, idx in real_moves:
+            for action, idx in successors:
                 if controllable(action) or (action, idx) in selected:
                     continue
                 if min_ctl is None or min_ctl >= idx:
@@ -1149,7 +1135,7 @@ def simulate_controller(
             if not selected:
                 # stopping is fine at final states and at stuck states (the
                 # play cannot be extended, so no completed trace arises)
-                if real_moves and not is_final_state(problem, state):
+                if successors and not is_final_state(problem, state):
                     failures.append(
                         f"trial {trial}: empty selection at non-final node {node.nid}"
                     )
@@ -1160,13 +1146,13 @@ def simulate_controller(
                 key = min(keys, key=lambda k: k[1])
             else:
                 key = rng.choice(keys)
-            move = real_moves.get(key)
-            if move is None:
+            succ = successors.get(key)
+            if succ is None:
                 ended = True  # selection error already recorded
                 break
             now += Fraction(delays[key[1]], 2 * state.unit)
             trace.append((key[0], now))
-            state = exact_target(problem, move)
+            state = succ
             node = graph.node(selected[key].target)
         if not ended:
             continue

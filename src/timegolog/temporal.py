@@ -289,9 +289,6 @@ def fract(value: Fraction, k: int) -> Fraction:
     return value - floor(value)
 
 
-ClockSet = frozenset  # of (name, Fraction) pairs
-
-
 def _as_clock_set(c: Iterable[tuple[str, Fraction]]) -> frozenset[tuple[str, Fraction]]:
     return frozenset((name, as_fraction(value)) for name, value in c)
 

@@ -326,9 +326,18 @@ class TimedAutomaton:
 
 
 def make_ta(locations, initial, finals, clocks, invariants=None, switches=()) -> TimedAutomaton:
+    """The automaton, once its switches, finals and invariants are checked
+    to name declared locations; invariants without atoms are left out."""
+    locations, finals, switches = tuple(locations), frozenset(finals), tuple(switches)
+    invariants = invariants or {}
+    named = {end for sw in switches for end in (sw.src, sw.dst)}
+    undeclared = named.union(finals, invariants).difference(locations)
+    if undeclared:
+        raise ValueError("switches, finals and invariants of the timed automaton name "
+                         f"undeclared locations: {sorted(undeclared, key=str)}")
     return TimedAutomaton(
-        tuple(locations), initial, frozenset(finals), tuple(clocks),
-        dict(invariants or {}), tuple(switches),
+        locations, initial, finals, tuple(clocks),
+        {l: g for l, g in invariants.items() if g.atoms}, switches,
     )
 
 

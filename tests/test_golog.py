@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +40,7 @@ from timegolog.golog import (
     seq,
     world_after,
 )
-from timegolog.parsing import load_bat, load_program, parse_static, program_to_json
+from timegolog.parsing import load_bat, load_program, parse_static
 from timegolog.temporal import ClockConstraint
 from timegolog.timed_automata import Switch, make_ta
 
@@ -52,6 +54,9 @@ from fixtures import (
     load_camera_bat_json,
     start,
 )
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
 
 def reachable_programs(bat, p, limit=10000) -> frozenset:
     """Syntactically reachable residual programs under any action choice,
@@ -484,8 +489,8 @@ class TestJsonLoader:
         assert holds(bat, s1, SAtom("holding", (Const("o1"),)))
 
     def test_program_json_roundtrip(self, bat):
-        prog = camera_program()
-        assert load_program(program_to_json(prog), bat) == prog
+        obj = json.loads((DEMO_DATA / "camera_program.json").read_text())
+        assert load_program(obj, bat) == camera_program()
 
 
 class TestTaEmbedding:

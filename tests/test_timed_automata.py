@@ -450,6 +450,18 @@ class TestCompose:
         assert all(sw.src == sw.dst for sw in eps)
 
 
+@pytest.mark.parametrize("where", ["switch", "final", "invariant"])
+def test_make_ta_rejects_undeclared_locations(where):
+    """A switch end, a final or an invariant naming an undeclared location
+    is refused where the automaton is built, not found by a later search."""
+    end = {w: "l1" if w == where else "l0" for w in ("switch", "final", "invariant")}
+    switches = [Switch("l0", "go", ClockConstraint(), frozenset(), end["switch"])]
+    invariants = {end["invariant"]: ClockConstraint(parse_guard_atoms("(<= x 1)"))}
+    finals = [end["final"]]
+    with pytest.raises(ValueError, match=r"name undeclared locations: \['l1'\]"):
+        make_ta(["l0"], "l0", finals, ["x"], invariants, switches)
+
+
 class TestZoneReach:
     def test_camera_boot_window(self):
         ta = camera_platform_ta()
